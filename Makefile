@@ -23,8 +23,9 @@ vet:
 
 # Short fuzz pass over the wire codec (the corruption injector's attack
 # surface), the WAL record decoder (what a torn or bit-rotted log feeds
-# into recovery) and the snapshot decoder (what a FaultFS-rotted snapshot
-# file feeds into it); extend -fuzztime locally for deeper runs.
+# into recovery), the snapshot decoder (what a FaultFS-rotted snapshot
+# file feeds into it) and the fixed-limb field/curve/pairing arithmetic
+# against its math/big reference; extend -fuzztime locally for deeper runs.
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz FuzzReadMessage -fuzztime 10s
@@ -32,6 +33,7 @@ fuzz:
 	$(GO) test ./internal/store -fuzz FuzzReadRecord -fuzztime 10s
 	$(GO) test ./internal/store -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzDecodeEvidence -fuzztime 10s
+	$(GO) test ./internal/pairing -fuzz FuzzDifferential -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
+
+	"seccloud/internal/ff"
 )
 
 // HashToPoint maps an arbitrary byte string onto a non-identity element of
@@ -36,23 +38,21 @@ func (g *Group) HashToPoint(domain string, msg []byte) *Point {
 			h2 := sha256.Sum256(block)
 			block = h2[:]
 		}
-		x := new(big.Int).SetBytes(buf[:need])
-		x.Mod(x, g.p)
+		var a affine
+		g.fp.SetBig(&a.x, new(big.Int).SetBytes(buf[:need]))
 
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x)
-		rhs.Add(rhs, x)
-		rhs.Mod(rhs, g.p)
-		y, ok := g.fp.Sqrt(rhs)
-		if !ok {
+		var rhs ff.Elem
+		g.fp.Square(&rhs, &a.x)
+		g.fp.Mul(&rhs, &rhs, &a.x)
+		g.fp.Add(&rhs, &rhs, &a.x)
+		if !g.fp.SqrtElem(&a.y, &rhs) {
 			continue
 		}
 		// Deterministically pick the "even" root for reproducibility.
-		if y.Bit(0) == 1 {
-			y.Neg(y)
-			y.Mod(y, g.p)
+		if g.fp.IsOdd(&a.y) {
+			g.fp.Neg(&a.y, &a.y)
 		}
-		pt := g.ScalarMult(&Point{X: x, Y: y}, g.h)
+		pt := g.mul(&a, g.h)
 		if pt.Inf {
 			continue
 		}

@@ -9,10 +9,15 @@ import (
 	"seccloud/internal/pairing"
 )
 
-// benchScheme sets up a scheme with one signer and one verifier.
+// benchScheme sets up a test256 scheme with one signer and one verifier.
 func benchScheme(b *testing.B) (*Scheme, *ibc.PrivateKey, *ibc.PrivateKey) {
+	return benchSchemeAt(b, pairing.InsecureTest256())
+}
+
+// benchSchemeAt is benchScheme over the given parameter set.
+func benchSchemeAt(b *testing.B, pp *pairing.Params) (*Scheme, *ibc.PrivateKey, *ibc.PrivateKey) {
 	b.Helper()
-	sio, err := ibc.Setup(pairing.InsecureTest256(), rand.Reader)
+	sio, err := ibc.Setup(pp, rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,35 +106,42 @@ func BenchmarkPublicVerify(b *testing.B) {
 }
 
 func BenchmarkBatchVerify(b *testing.B) {
+	run := func(name string, pp *pairing.Params, n int, randomized bool) {
+		b.Run(name, func(b *testing.B) {
+			scheme, signer, verifier := benchSchemeAt(b, pp)
+			items := make([]BatchItem, n)
+			for i := 0; i < n; i++ {
+				msg := []byte(fmt.Sprintf("batch message %d", i))
+				ds, err := scheme.SignDesignated(signer, msg, rand.Reader, verifier.ID)
+				if err != nil {
+					b.Fatal(err)
+				}
+				items[i] = NewBatchItem(msg, ds[0])
+			}
+			scheme.PrecomputeVerifier(verifier)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if randomized {
+					err = scheme.BatchVerifyRandomized(items, verifier, rand.Reader)
+				} else {
+					err = scheme.BatchVerify(items, verifier)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{4, 16, 64} {
 		for _, randomized := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/randomized=%v", n, randomized)
-			b.Run(name, func(b *testing.B) {
-				scheme, signer, verifier := benchScheme(b)
-				items := make([]BatchItem, n)
-				for i := 0; i < n; i++ {
-					msg := []byte(fmt.Sprintf("batch message %d", i))
-					ds, err := scheme.SignDesignated(signer, msg, rand.Reader, verifier.ID)
-					if err != nil {
-						b.Fatal(err)
-					}
-					items[i] = NewBatchItem(msg, ds[0])
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if randomized {
-						err = scheme.BatchVerifyRandomized(items, verifier, rand.Reader)
-					} else {
-						err = scheme.BatchVerify(items, verifier)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			run(fmt.Sprintf("n=%d/randomized=%v", n, randomized), pairing.InsecureTest256(), n, randomized)
 		}
 	}
+	// The storage-audit hot path: one randomized batch of the audit's
+	// t = 64 designated signatures at the paper's SS512 parameters.
+	run("ss512/n=64/randomized=true", pairing.SS512(), 64, true)
 }
 
 func BenchmarkSimulate(b *testing.B) {

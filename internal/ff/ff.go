@@ -2,6 +2,18 @@
 // pairing: the prime field Fp, its quadratic extension Fp2 = Fp(i) with
 // i^2 = -1 (which requires p ≡ 3 mod 4), and helpers for the scalar field Zq.
 //
+// Fp elements (Elem) are fixed-width Montgomery residues: up to eight
+// 64-bit limbs, multiplied with the CIOS method using only math/bits. A
+// Ctx picks its limb count from the modulus — eight for SS512, four for
+// the 256-bit test set, one for toy primes — so the same code runs, and
+// is tested, at every size. Arithmetic writes into caller-owned values
+// and never allocates; the curve and pairing hot loops (ladders,
+// multi-scalar sums, Miller loops, GT exponentiations) run entirely on
+// it. math/big appears only at the boundary: converting to and from the
+// exported *big.Int coordinates, and the extended-Euclid inversions a
+// ladder pays at its ends (one to normalize its table of multiples, one
+// to return to affine form).
+//
 // The package is deliberately parameterized by a Ctx carrying the modulus so
 // that tests can exercise the same code paths with tiny toy primes where
 // properties can be checked exhaustively.
@@ -18,10 +30,18 @@ import (
 // ErrNotInField reports an element outside the expected range [0, p).
 var ErrNotInField = errors.New("ff: element not in field")
 
-// Ctx carries the prime modulus p for Fp and Fp2 arithmetic. A Ctx is
-// immutable after construction and safe for concurrent use.
+// Ctx carries the prime modulus p for Fp and Fp2 arithmetic together with
+// its Montgomery constants. A Ctx is immutable after construction and safe
+// for concurrent use.
 type Ctx struct {
-	p *big.Int
+	p       *big.Int
+	n       int      // limbs in use
+	size    int      // bytes in a canonical encoding
+	m       Elem     // p as limbs
+	pinv    uint64   // −p⁻¹ mod 2⁶⁴
+	r2      Elem     // R² mod p, plain limbs: Mul(z, x, r2) enters Montgomery form
+	one     Elem     // R mod p, the Montgomery form of 1
+	sqrtExp *big.Int // (p+1)/4
 }
 
 // NewCtx returns an arithmetic context for the prime field Fp.
@@ -34,7 +54,31 @@ func NewCtx(p *big.Int) (*Ctx, error) {
 	if p.Bit(0) != 1 || p.Bit(1) != 1 {
 		return nil, fmt.Errorf("ff: modulus %v is not ≡ 3 (mod 4)", p)
 	}
-	return &Ctx{p: new(big.Int).Set(p)}, nil
+	if p.BitLen() > 64*MaxLimbs {
+		return nil, fmt.Errorf("ff: modulus of %d bits exceeds %d", p.BitLen(), 64*MaxLimbs)
+	}
+	c := &Ctx{p: new(big.Int).Set(p), n: (p.BitLen() + 63) / 64, size: (p.BitLen() + 7) / 8}
+	limbs := func(x *big.Int) Elem {
+		var e Elem
+		for i, w := 0, new(big.Int).Set(x); w.Sign() > 0; i++ {
+			e[i] = w.Uint64()
+			w.Rsh(w, 64)
+		}
+		return e
+	}
+	c.m = limbs(p)
+	// Newton's iteration doubles the correct low bits of p⁻¹ mod 2⁶⁴ each
+	// round, starting from the 3 bits that inv = p already has for odd p.
+	inv := c.m[0]
+	for i := 0; i < 5; i++ {
+		inv *= 2 - c.m[0]*inv
+	}
+	c.pinv = -inv
+	r := new(big.Int).Lsh(big.NewInt(1), uint(64*c.n))
+	c.one = limbs(new(big.Int).Mod(r, p))
+	c.r2 = limbs(new(big.Int).Mod(new(big.Int).Mul(r, r), p))
+	c.sqrtExp = new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 2)
+	return c, nil
 }
 
 // P returns a copy of the field modulus.
@@ -61,192 +105,10 @@ func (c *Ctx) RandFp(r io.Reader) (*big.Int, error) {
 // p ≡ 3 (mod 4) shortcut y = a^((p+1)/4). The second return is false when a
 // is a quadratic non-residue.
 func (c *Ctx) Sqrt(a *big.Int) (*big.Int, bool) {
-	exp := new(big.Int).Add(c.p, big.NewInt(1))
-	exp.Rsh(exp, 2)
-	y := new(big.Int).Exp(a, exp, c.p)
-	chk := new(big.Int).Mul(y, y)
-	chk.Mod(chk, c.p)
-	am := new(big.Int).Mod(a, c.p)
-	if chk.Cmp(am) != 0 {
+	var x Elem
+	c.SetBig(&x, a)
+	if !c.SqrtElem(&x, &x) {
 		return nil, false
 	}
-	return y, true
-}
-
-// Fp2 is an element a + b·i of the quadratic extension Fp(i), i^2 = -1.
-// The zero value is not ready for use; obtain elements from a Ctx.
-type Fp2 struct {
-	A *big.Int // real coefficient
-	B *big.Int // imaginary coefficient
-}
-
-// NewFp2 returns the element a + b·i, reducing both coordinates mod p.
-func (c *Ctx) NewFp2(a, b *big.Int) *Fp2 {
-	return &Fp2{
-		A: new(big.Int).Mod(a, c.p),
-		B: new(big.Int).Mod(b, c.p),
-	}
-}
-
-// Fp2Zero returns the additive identity of Fp2.
-func (c *Ctx) Fp2Zero() *Fp2 { return &Fp2{A: new(big.Int), B: new(big.Int)} }
-
-// Fp2One returns the multiplicative identity of Fp2.
-func (c *Ctx) Fp2One() *Fp2 { return &Fp2{A: big.NewInt(1), B: new(big.Int)} }
-
-// Fp2Copy returns a deep copy of x.
-func (c *Ctx) Fp2Copy(x *Fp2) *Fp2 {
-	return &Fp2{A: new(big.Int).Set(x.A), B: new(big.Int).Set(x.B)}
-}
-
-// Fp2IsZero reports whether x is the additive identity.
-func (c *Ctx) Fp2IsZero(x *Fp2) bool { return x.A.Sign() == 0 && x.B.Sign() == 0 }
-
-// Fp2IsOne reports whether x is the multiplicative identity.
-func (c *Ctx) Fp2IsOne(x *Fp2) bool {
-	return x.A.Cmp(big.NewInt(1)) == 0 && x.B.Sign() == 0
-}
-
-// Fp2Equal reports whether x and y are the same element.
-func (c *Ctx) Fp2Equal(x, y *Fp2) bool {
-	return x.A.Cmp(y.A) == 0 && x.B.Cmp(y.B) == 0
-}
-
-// Fp2Add returns x + y.
-func (c *Ctx) Fp2Add(x, y *Fp2) *Fp2 {
-	a := new(big.Int).Add(x.A, y.A)
-	a.Mod(a, c.p)
-	b := new(big.Int).Add(x.B, y.B)
-	b.Mod(b, c.p)
-	return &Fp2{A: a, B: b}
-}
-
-// Fp2Sub returns x - y.
-func (c *Ctx) Fp2Sub(x, y *Fp2) *Fp2 {
-	a := new(big.Int).Sub(x.A, y.A)
-	a.Mod(a, c.p)
-	b := new(big.Int).Sub(x.B, y.B)
-	b.Mod(b, c.p)
-	return &Fp2{A: a, B: b}
-}
-
-// Fp2Neg returns -x.
-func (c *Ctx) Fp2Neg(x *Fp2) *Fp2 {
-	a := new(big.Int).Neg(x.A)
-	a.Mod(a, c.p)
-	b := new(big.Int).Neg(x.B)
-	b.Mod(b, c.p)
-	return &Fp2{A: a, B: b}
-}
-
-// Fp2Mul returns x·y using the schoolbook formula
-// (a+bi)(c+di) = (ac - bd) + (ad + bc)i.
-func (c *Ctx) Fp2Mul(x, y *Fp2) *Fp2 {
-	ac := new(big.Int).Mul(x.A, y.A)
-	bd := new(big.Int).Mul(x.B, y.B)
-	ad := new(big.Int).Mul(x.A, y.B)
-	bc := new(big.Int).Mul(x.B, y.A)
-	a := ac.Sub(ac, bd)
-	a.Mod(a, c.p)
-	b := ad.Add(ad, bc)
-	b.Mod(b, c.p)
-	return &Fp2{A: a, B: b}
-}
-
-// Fp2Square returns x² using (a+bi)² = (a-b)(a+b) + 2ab·i.
-func (c *Ctx) Fp2Square(x *Fp2) *Fp2 {
-	sum := new(big.Int).Add(x.A, x.B)
-	diff := new(big.Int).Sub(x.A, x.B)
-	a := sum.Mul(sum, diff)
-	a.Mod(a, c.p)
-	b := new(big.Int).Mul(x.A, x.B)
-	b.Lsh(b, 1)
-	b.Mod(b, c.p)
-	return &Fp2{A: a, B: b}
-}
-
-// Fp2Conj returns the conjugate a - b·i. For p ≡ 3 (mod 4) this equals the
-// Frobenius endomorphism x ↦ x^p on Fp2.
-func (c *Ctx) Fp2Conj(x *Fp2) *Fp2 {
-	b := new(big.Int).Neg(x.B)
-	b.Mod(b, c.p)
-	return &Fp2{A: new(big.Int).Set(x.A), B: b}
-}
-
-// Fp2Inv returns x⁻¹. It returns an error when x is zero.
-func (c *Ctx) Fp2Inv(x *Fp2) (*Fp2, error) {
-	// 1/(a+bi) = (a-bi)/(a²+b²).
-	n := new(big.Int).Mul(x.A, x.A)
-	bb := new(big.Int).Mul(x.B, x.B)
-	n.Add(n, bb)
-	n.Mod(n, c.p)
-	if n.Sign() == 0 {
-		return nil, errors.New("ff: inverse of zero in Fp2")
-	}
-	n.ModInverse(n, c.p)
-	a := new(big.Int).Mul(x.A, n)
-	a.Mod(a, c.p)
-	b := new(big.Int).Neg(x.B)
-	b.Mul(b, n)
-	b.Mod(b, c.p)
-	return &Fp2{A: a, B: b}, nil
-}
-
-// Fp2Exp returns x^k for k ≥ 0 by square-and-multiply.
-func (c *Ctx) Fp2Exp(x *Fp2, k *big.Int) *Fp2 {
-	if k.Sign() < 0 {
-		inv, err := c.Fp2Inv(x)
-		if err != nil {
-			// x == 0 with negative exponent has no meaning; return zero
-			// to keep the API total (callers validate inputs upstream).
-			return c.Fp2Zero()
-		}
-		return c.Fp2Exp(inv, new(big.Int).Neg(k))
-	}
-	r := c.Fp2One()
-	base := c.Fp2Copy(x)
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		r = c.Fp2Square(r)
-		if k.Bit(i) == 1 {
-			r = c.Fp2Mul(r, base)
-		}
-	}
-	return r
-}
-
-// Fp2MultiExp returns Π xᵢ^kᵢ for kᵢ ≥ 0 with one shared square-and-
-// multiply ladder: the accumulator squares once per bit of the longest
-// exponent and multiplies in every base whose exponent has that bit set.
-// For n bases with b-bit exponents this costs b squarings plus ~nb/2
-// multiplications, versus n·b squarings for n separate Fp2Exp calls —
-// the Fp2 analogue of a multi-scalar point multiplication. Negative
-// exponents are not supported (callers reduce into [0, q) first).
-func (c *Ctx) Fp2MultiExp(xs []*Fp2, ks []*big.Int) (*Fp2, error) {
-	if len(xs) != len(ks) {
-		return nil, fmt.Errorf("ff: mismatched lengths %d vs %d", len(xs), len(ks))
-	}
-	maxBits := 0
-	for _, k := range ks {
-		if k.Sign() < 0 {
-			return nil, fmt.Errorf("ff: negative exponent in multi-exp")
-		}
-		if b := k.BitLen(); b > maxBits {
-			maxBits = b
-		}
-	}
-	r := c.Fp2One()
-	for i := maxBits - 1; i >= 0; i-- {
-		r = c.Fp2Square(r)
-		for j, k := range ks {
-			if k.Bit(i) == 1 {
-				r = c.Fp2Mul(r, xs[j])
-			}
-		}
-	}
-	return r, nil
-}
-
-// Fp2String renders x as "a + b·i" in hexadecimal, for debugging.
-func (c *Ctx) Fp2String(x *Fp2) string {
-	return fmt.Sprintf("%s + %s·i", x.A.Text(16), x.B.Text(16))
+	return c.Big(&x), true
 }

@@ -26,14 +26,30 @@ func mustBig(hex string) *big.Int {
 	return v
 }
 
-func mustCtx(t *testing.T, p *big.Int) *Ctx {
+func mustCtx(t *testing.T, p *big.Int) vc {
 	t.Helper()
 	c, err := NewCtx(p)
 	if err != nil {
 		t.Fatalf("NewCtx(%v): %v", p, err)
 	}
-	return c
+	return vc{c}
 }
+
+// vc wraps a Ctx with value-returning Fp2 operations so the algebraic
+// laws below read as formulas.
+type vc struct{ *Ctx }
+
+func (c vc) Fp2Add(x, y Fp2) (z Fp2)          { c.Ctx.Fp2Add(&z, &x, &y); return }
+func (c vc) Fp2Mul(x, y Fp2) (z Fp2)          { c.Ctx.Fp2Mul(&z, &x, &y); return }
+func (c vc) Fp2Neg(x Fp2) (z Fp2)             { c.Ctx.Fp2Neg(&z, &x); return }
+func (c vc) Fp2Square(x Fp2) (z Fp2)          { c.Ctx.Fp2Square(&z, &x); return }
+func (c vc) Fp2Conj(x Fp2) (z Fp2)            { c.Ctx.Fp2Conj(&z, &x); return }
+func (c vc) Fp2Exp(x Fp2, k *big.Int) (z Fp2) { c.Ctx.Fp2Exp(&z, &x, k); return }
+func (c vc) Fp2Inv(x Fp2) (z Fp2, err error)  { err = c.Ctx.Fp2Inv(&z, &x); return }
+func (c vc) Fp2Equal(x, y Fp2) bool           { return c.Ctx.Fp2Equal(&x, &y) }
+func (c vc) Fp2IsZero(x Fp2) bool             { return c.Ctx.Fp2IsZero(&x) }
+func (c vc) Fp2IsOne(x Fp2) bool              { return c.Ctx.Fp2IsOne(&x) }
+func (c vc) Fp2String(x Fp2) string           { return c.Ctx.Fp2String(&x) }
 
 func TestNewCtxRejectsBadModuli(t *testing.T) {
 	cases := []struct {
@@ -55,7 +71,7 @@ func TestNewCtxRejectsBadModuli(t *testing.T) {
 	}
 }
 
-func randFp2(c *Ctx, rng *mrand.Rand) *Fp2 {
+func randFp2(c vc, rng *mrand.Rand) Fp2 {
 	p := c.P()
 	a := new(big.Int).Rand(rng, p)
 	b := new(big.Int).Rand(rng, p)

@@ -138,12 +138,28 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
+// refuseReadTimeout caps how long a refused conn waits for its request:
+// a dialer over the cap that sends nothing must not hold Shutdown open.
+const refuseReadTimeout = time.Second
+
 // refuseConn answers a dial over the MaxConns cap with the typed
 // overload frame before closing, so the client backs off (or fails over)
-// instead of burning retries on what used to be a silent drop.
+// instead of burning retries on what used to be a silent drop. It reads
+// the client's request first, as daemon.Server's shed path does: closing
+// with the request unread would reset the socket under the client's
+// write, and the client would see a broken pipe instead of the overload
+// frame.
 func (s *TCPServer) refuseConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() { _ = conn.Close() }()
+	rt := s.cfg.readTimeout()
+	if rt <= 0 || rt > refuseReadTimeout {
+		rt = refuseReadTimeout
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(rt))
+	if _, _, err := wire.ReadMessage(conn); err != nil {
+		return
+	}
 	if wt := s.cfg.writeTimeout(); wt > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(wt))
 	}

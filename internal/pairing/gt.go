@@ -7,40 +7,45 @@ import (
 	"seccloud/internal/ff"
 )
 
-// GT is an element of the order-q target group inside Fp2*. Values are
-// immutable: every operation returns a fresh element.
+// GT is an element of the order-q target group inside Fp2*, held as a
+// fixed-limb Fp2 value. Values are immutable: every operation returns a
+// fresh element.
 type GT struct {
 	pp *Params
-	v  *ff.Fp2
+	v  ff.Fp2
 }
 
 // One returns the identity of GT.
 func (pp *Params) One() *GT {
-	return &GT{pp: pp, v: pp.g1.FieldCtx().Fp2One()}
+	return &GT{pp: pp, v: pp.fp.Fp2One()}
 }
 
 // IsOne reports whether g is the identity.
-func (g *GT) IsOne() bool { return g.pp.g1.FieldCtx().Fp2IsOne(g.v) }
+func (g *GT) IsOne() bool { return g.pp.fp.Fp2IsOne(&g.v) }
 
 // Equal reports whether g and h are the same element.
-func (g *GT) Equal(h *GT) bool { return g.pp.g1.FieldCtx().Fp2Equal(g.v, h.v) }
+func (g *GT) Equal(h *GT) bool { return g.v == h.v }
 
 // Mul returns g·h.
 func (g *GT) Mul(h *GT) *GT {
-	return &GT{pp: g.pp, v: g.pp.g1.FieldCtx().Fp2Mul(g.v, h.v)}
+	out := &GT{pp: g.pp}
+	g.pp.fp.Fp2Mul(&out.v, &g.v, &h.v)
+	return out
 }
 
 // Inv returns g⁻¹. GT elements have order q, so the inverse is g^(q−1);
 // for unitary Fp2 elements this is just conjugation, which is cheap.
 func (g *GT) Inv() *GT {
-	return &GT{pp: g.pp, v: g.pp.g1.FieldCtx().Fp2Conj(g.v)}
+	out := &GT{pp: g.pp}
+	g.pp.fp.Fp2Conj(&out.v, &g.v)
+	return out
 }
 
 // Exp returns g^k with the exponent reduced mod q.
 func (g *GT) Exp(k *big.Int) *GT {
-	fp := g.pp.g1.FieldCtx()
-	kq := new(big.Int).Mod(k, g.pp.q)
-	return &GT{pp: g.pp, v: fp.Fp2Exp(g.v, kq)}
+	out := &GT{pp: g.pp}
+	g.pp.fp.Fp2Exp(&out.v, &g.v, new(big.Int).Mod(k, g.pp.q))
+	return out
 }
 
 // MultiExp returns Π gᵢ^kᵢ with exponents reduced mod q, sharing one
@@ -51,29 +56,29 @@ func (pp *Params) MultiExp(gs []*GT, ks []*big.Int) (*GT, error) {
 	if len(gs) != len(ks) {
 		return nil, fmt.Errorf("pairing: mismatched multi-exp lengths %d vs %d", len(gs), len(ks))
 	}
-	fp := pp.g1.FieldCtx()
 	xs := make([]*ff.Fp2, len(gs))
 	kq := make([]*big.Int, len(ks))
 	for i, g := range gs {
 		if g == nil {
 			return nil, fmt.Errorf("pairing: nil GT element %d in multi-exp", i)
 		}
-		xs[i] = g.v
-		kq[i] = new(big.Int).Mod(ks[i], pp.q)
+		xs[i] = &g.v
+		kq[i] = ks[i]
+		if ks[i].Sign() < 0 || ks[i].Cmp(pp.q) >= 0 {
+			kq[i] = new(big.Int).Mod(ks[i], pp.q)
+		}
 	}
-	v, err := fp.Fp2MultiExp(xs, kq)
-	if err != nil {
+	out := &GT{pp: pp}
+	if err := pp.fp.Fp2MultiExp(&out.v, xs, kq); err != nil {
 		return nil, err
 	}
-	return &GT{pp: pp, v: v}, nil
+	return out, nil
 }
 
 // Marshal encodes g as two fixed-width big-endian field coordinates.
 func (g *GT) Marshal() []byte {
-	fb := (g.pp.p.BitLen() + 7) / 8
-	out := make([]byte, 2*fb)
-	g.v.A.FillBytes(out[:fb])
-	g.v.B.FillBytes(out[fb:])
+	out := make([]byte, g.pp.GTLen())
+	g.pp.fp.Fp2FillBytes(out, &g.v)
 	return out
 }
 
@@ -86,8 +91,10 @@ func (pp *Params) GTLen() int {
 // InSubgroup reports whether g lies in the order-q subgroup of Fp2*,
 // via one full exponentiation by q.
 func (g *GT) InSubgroup() bool {
-	fp := g.pp.g1.FieldCtx()
-	return fp.Fp2IsOne(fp.Fp2Exp(g.v, g.pp.q))
+	fp := g.pp.fp
+	var r ff.Fp2
+	fp.Fp2Exp(&r, &g.v, g.pp.q)
+	return fp.Fp2IsOne(&r)
 }
 
 // UnmarshalGT decodes an element produced by GT.Marshal and checks that it
@@ -113,24 +120,20 @@ func (pp *Params) UnmarshalGT(data []byte) (*GT, error) {
 // conjugation, reuse as a trusted group element) must call InSubgroup
 // themselves or use UnmarshalGT.
 func (pp *Params) UnmarshalGTUnchecked(data []byte) (*GT, error) {
-	fb := (pp.p.BitLen() + 7) / 8
-	if len(data) != 2*fb {
-		return nil, fmt.Errorf("pairing: GT encoding has %d bytes, want %d", len(data), 2*fb)
+	if len(data) != pp.GTLen() {
+		return nil, fmt.Errorf("pairing: GT encoding has %d bytes, want %d", len(data), pp.GTLen())
 	}
-	fp := pp.g1.FieldCtx()
-	a := new(big.Int).SetBytes(data[:fb])
-	b := new(big.Int).SetBytes(data[fb:])
-	if !fp.InField(a) || !fp.InField(b) {
+	g := &GT{pp: pp}
+	if !pp.fp.Fp2SetBytes(&g.v, data) {
 		return nil, fmt.Errorf("pairing: GT coordinates out of field range")
 	}
-	v := &ff.Fp2{A: a, B: b}
-	if fp.Fp2IsZero(v) {
+	if pp.fp.Fp2IsZero(&g.v) {
 		return nil, fmt.Errorf("pairing: GT element is zero")
 	}
-	return &GT{pp: pp, v: v}, nil
+	return g, nil
 }
 
 // String renders g for debugging.
 func (g *GT) String() string {
-	return g.pp.g1.FieldCtx().Fp2String(g.v)
+	return g.pp.fp.Fp2String(&g.v)
 }

@@ -1,8 +1,6 @@
 package pairing
 
 import (
-	"math/big"
-
 	"seccloud/internal/curve"
 	"seccloud/internal/ff"
 )
@@ -13,31 +11,21 @@ import (
 // changes: the DA verifies ê(·, sk_DA) for its whole lifetime (eq. 5/7),
 // and everyone verifies public signatures against ê(·, P) and ê(·, Ppub).
 // The Miller loop's point arithmetic — the accumulator doublings and
-// additions, each with a modular inversion — depends only on the *first*
-// argument; the second argument enters only through the cheap line
-// evaluations. Because the modified Tate pairing on this supersingular
-// curve is symmetric (ê(P, Q) = ê(Q, P), see TestSymmetry), we can pin the
-// fixed argument into the first slot, record the line coefficients
-// (λ, x_R, y_R) of every Miller step once, and replay them against any
-// second argument: the same group element at a fraction of the cost.
+// additions — depends only on the *first* argument; the second argument
+// enters only through the cheap line evaluations. Because the modified
+// Tate pairing on this supersingular curve is symmetric (ê(P, Q) =
+// ê(Q, P), see TestSymmetry), we can pin the fixed argument into the
+// first slot, record every Miller line once, and replay the lines against
+// any second argument: the same group element at a fraction of the cost.
 //
-// The replay multiplies exactly the same field elements in exactly the
-// same order as Params.miller for the fixed point, so a precomputed
+// The recorded lines are those Params.miller computes for the fixed
+// point, each divided by its y_Q coefficient (one batch inversion for the
+// whole loop) so that a replayed line costs a single field multiplication.
+// That division is a factor in Fp*, which the final exponentiation maps to
+// one; the final exponentiation's output is canonical, so a precomputed
 // pairing is bit-identical to the cold one — verifiers using a Precomp
-// interoperate with signers using plain Pair.
-
-// lineCoeff is one recorded Miller-loop line: the tangent/chord through
-// the accumulator R with slope λ, to be evaluated at φ(Q).
-type lineCoeff struct {
-	lambda, xr, yr *big.Int
-}
-
-// precompIter is one Miller-loop iteration: the unconditional squaring is
-// implicit; dbl and add are the (optional) doubling and addition lines.
-type precompIter struct {
-	dbl *lineCoeff
-	add *lineCoeff
-}
+// interoperate with signers using plain Pair (TestPrecompMatchesPair and
+// the reference-implementation differential tests pin this).
 
 // Precomp is the reusable Miller-loop state for a fixed pairing argument.
 // Immutable after construction and safe for concurrent use.
@@ -48,88 +36,50 @@ type precompIter struct {
 type Precomp struct {
 	pp    *Params
 	fixed *curve.Point // copy of the fixed argument
-	iters []precompIter
+	iters []millerIter // lines scaled so that c2 = 1
 }
 
 // Precompute runs the Miller loop for the fixed point p once, recording
-// every line coefficient. The returned Precomp evaluates ê(p, q) — and by
-// symmetry ê(q, p) — for arbitrary q via Precomp.Pair.
+// every line. The returned Precomp evaluates ê(p, q) — and by symmetry
+// ê(q, p) — for arbitrary q via Precomp.Pair.
 func (pp *Params) Precompute(p *curve.Point) *Precomp {
 	pc := &Precomp{pp: pp, fixed: pp.g1.Copy(p)}
 	if p.Inf {
 		return pc
 	}
-	prime := pp.p
-	rx := new(big.Int).Set(p.X)
-	ry := new(big.Int).Set(p.Y)
-	rInf := false
-	three := big.NewInt(3)
-	one := big.NewInt(1)
+	var rec []millerIter
+	var f ff.Fp2
+	pp.miller(&f, p, nil, &rec)
 
-	// record captures the current line and advances R exactly as
-	// Params.miller does; dblStep handles both the doubling case and the
-	// equal-points addition case (identical formulas).
-	dblStep := func() *lineCoeff {
-		num := new(big.Int).Mul(rx, rx)
-		num.Mul(num, three)
-		num.Add(num, one)
-		den := new(big.Int).Lsh(ry, 1)
-		den.ModInverse(den, prime)
-		lambda := num.Mul(num, den)
-		lambda.Mod(lambda, prime)
-		lc := &lineCoeff{lambda: lambda, xr: new(big.Int).Set(rx), yr: new(big.Int).Set(ry)}
-		x3 := new(big.Int).Mul(lambda, lambda)
-		x3.Sub(x3, new(big.Int).Lsh(rx, 1))
-		x3.Mod(x3, prime)
-		y3 := new(big.Int).Sub(rx, x3)
-		y3.Mul(y3, lambda)
-		y3.Sub(y3, ry)
-		y3.Mod(y3, prime)
-		rx, ry = x3, y3
-		return lc
-	}
-
-	pc.iters = make([]precompIter, 0, pp.q.BitLen()-1)
-	for i := pp.q.BitLen() - 2; i >= 0; i-- {
-		var it precompIter
-		if !rInf {
-			if ry.Sign() == 0 {
-				rInf = true
-			} else {
-				it.dbl = dblStep()
-			}
+	// Divide every line by its c2 with one shared inversion: prefix
+	// products forward, one inversion, then peel off each 1/c2 backward.
+	fp := pp.fp
+	lines := make([]*line, 0, 2*len(rec))
+	for i := range rec {
+		if rec[i].hasDbl {
+			lines = append(lines, &rec[i].dbl)
 		}
-		if pp.q.Bit(i) == 1 && !rInf {
-			switch {
-			case rx.Cmp(p.X) == 0 && ry.Cmp(p.Y) == 0:
-				if ry.Sign() == 0 {
-					rInf = true
-				} else {
-					it.add = dblStep()
-				}
-			case rx.Cmp(p.X) == 0:
-				rInf = true
-			default:
-				num := new(big.Int).Sub(p.Y, ry)
-				den := new(big.Int).Sub(p.X, rx)
-				den.Mod(den, prime)
-				den.ModInverse(den, prime)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, prime)
-				it.add = &lineCoeff{lambda: lambda, xr: new(big.Int).Set(rx), yr: new(big.Int).Set(ry)}
-				x3 := new(big.Int).Mul(lambda, lambda)
-				x3.Sub(x3, rx)
-				x3.Sub(x3, p.X)
-				x3.Mod(x3, prime)
-				y3 := new(big.Int).Sub(rx, x3)
-				y3.Mul(y3, lambda)
-				y3.Sub(y3, ry)
-				y3.Mod(y3, prime)
-				rx, ry = x3, y3
-			}
+		if rec[i].hasAdd {
+			lines = append(lines, &rec[i].add)
 		}
-		pc.iters = append(pc.iters, it)
 	}
+	prefix := make([]ff.Elem, len(lines))
+	acc := fp.One()
+	for i, l := range lines {
+		prefix[i] = acc
+		fp.Mul(&acc, &acc, &l.c2)
+	}
+	fp.Inv(&acc, &acc)
+	for i := len(lines) - 1; i >= 0; i-- {
+		l := lines[i]
+		var inv ff.Elem
+		fp.Mul(&inv, &acc, &prefix[i])
+		fp.Mul(&acc, &acc, &l.c2)
+		fp.Mul(&l.c1, &l.c1, &inv)
+		fp.Mul(&l.c0, &l.c0, &inv)
+		l.c2 = fp.One()
+	}
+	pc.iters = rec
 	return pc
 }
 
@@ -139,31 +89,23 @@ func (pc *Precomp) Params() *Params { return pc.pp }
 // Fixed returns a copy of the precomputed argument.
 func (pc *Precomp) Fixed() *curve.Point { return pc.pp.g1.Copy(pc.fixed) }
 
-// millerEval replays the recorded lines against φ(q), producing the same
-// un-exponentiated Miller value as Params.miller(fixed, q).
-func (pc *Precomp) millerEval(q *curve.Point) *ff.Fp2 {
-	pc.pp.g1.Counters().AddMillerLoop()
-	fp := pc.pp.g1.FieldCtx()
-	prime := pc.pp.p
-	f := fp.Fp2One()
-	// l = λ·(xQ + xR) − yR + yQ·i, identical to Params.miller's lineVal.
-	eval := func(lc *lineCoeff) *ff.Fp2 {
-		a := new(big.Int).Add(q.X, lc.xr)
-		a.Mul(a, lc.lambda)
-		a.Sub(a, lc.yr)
-		a.Mod(a, prime)
-		return &ff.Fp2{A: a, B: new(big.Int).Set(q.Y)}
-	}
+// millerEval replays the recorded lines against φ(q), producing the
+// Miller value of Params.miller(fixed, q) up to a factor in Fp*.
+func (pc *Precomp) millerEval(f *ff.Fp2, q *point) {
+	pp := pc.pp
+	pp.g1.Counters().AddMillerLoop()
+	fp := pp.fp
+	*f = fp.Fp2One()
 	for i := range pc.iters {
-		f = fp.Fp2Square(f)
-		if pc.iters[i].dbl != nil {
-			f = fp.Fp2Mul(f, eval(pc.iters[i].dbl))
+		it := &pc.iters[i]
+		fp.Fp2Square(f, f)
+		if it.hasDbl {
+			pp.mulLine(f, &it.dbl, q, &q.y)
 		}
-		if pc.iters[i].add != nil {
-			f = fp.Fp2Mul(f, eval(pc.iters[i].add))
+		if it.hasAdd {
+			pp.mulLine(f, &it.add, q, &q.y)
 		}
 	}
-	return f
 }
 
 // Pair computes ê(fixed, q) = ê(q, fixed) using the precomputed Miller
@@ -171,9 +113,12 @@ func (pc *Precomp) millerEval(q *curve.Point) *ff.Fp2 {
 // call. The result is bit-identical to Params.Pair on the same inputs.
 // The caller remains responsible for subgroup membership of untrusted q.
 func (pc *Precomp) Pair(q *curve.Point) *GT {
-	fp := pc.pp.g1.FieldCtx()
 	if pc.fixed.Inf || q.Inf {
-		return &GT{pp: pc.pp, v: fp.Fp2One()}
+		return pc.pp.One()
 	}
-	return &GT{pp: pc.pp, v: pc.pp.finalExp(pc.millerEval(q))}
+	var qp point
+	pc.pp.toPoint(&qp, q)
+	var f ff.Fp2
+	pc.millerEval(&f, &qp)
+	return pc.pp.finalExp(&f)
 }
