@@ -24,8 +24,11 @@ vet:
 # Short fuzz pass over the wire codec (the corruption injector's attack
 # surface), the WAL record decoder (what a torn or bit-rotted log feeds
 # into recovery), the snapshot decoder (what a FaultFS-rotted snapshot
-# file feeds into it) and the fixed-limb field/curve/pairing arithmetic
-# against its math/big reference; extend -fuzztime locally for deeper runs.
+# file feeds into it), the raw and designated signature decoders (an
+# off-subgroup component must fail verification, batched or not) and the
+# fixed-limb field/curve/pairing arithmetic — the signed GT multi-exp
+# included — against its math/big reference; extend -fuzztime locally
+# for deeper runs.
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz FuzzReadMessage -fuzztime 10s
@@ -33,18 +36,22 @@ fuzz:
 	$(GO) test ./internal/store -fuzz FuzzReadRecord -fuzztime 10s
 	$(GO) test ./internal/store -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzDecodeEvidence -fuzztime 10s
+	$(GO) test ./internal/core -fuzz FuzzDecodeIBSig -fuzztime 10s
+	$(GO) test ./internal/core -fuzz FuzzDecodeBlockSig -fuzztime 10s
 	$(GO) test ./internal/pairing -fuzz FuzzDifferential -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # Audit-pipeline benchmarks: worker-pool scaling on a latent link, the
-# O(t) sampler's allocations, and the fixed-argument pairing cache.
-# Refreshes BENCH_parallel_audit.json via the seccloud-bench harness.
+# O(t) sampler's allocations, the fixed-argument pairing cache, the
+# SS512 storage-audit batch on one and two chunks, and the signed GT
+# multi-exp under it. Refreshes BENCH_parallel_audit.json via the
+# seccloud-bench harness.
 bench-audit:
 	$(GO) test -run '^$$' -bench 'BenchmarkAuditPipeline|BenchmarkSampleIndices' -benchmem -benchtime 3x ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkPairPrecomp' -benchmem ./internal/pairing
-	$(GO) test -run '^$$' -bench 'BenchmarkVerifyDesignated' -benchmem ./internal/dvs
+	$(GO) test -run '^$$' -bench 'BenchmarkPairPrecomp|BenchmarkGTMultiExp' -benchmem ./internal/pairing
+	$(GO) test -run '^$$' -bench 'BenchmarkVerifyDesignated|BenchmarkBatchVerify/ss512' -benchmem ./internal/dvs
 	$(GO) run ./cmd/seccloud-bench -exp parallel-audit -params test256 -json BENCH_parallel_audit.json
 
 # Crash-recovery benchmark: WAL restart time vs dataset size plus the

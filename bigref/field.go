@@ -12,7 +12,6 @@ package bigref
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 )
 
@@ -161,36 +160,4 @@ func (c *Field) Fp2Exp(x *Fp2, k *big.Int) *Fp2 {
 		}
 	}
 	return r
-}
-
-// Fp2MultiExp returns Π xᵢ^kᵢ for kᵢ ≥ 0 with one shared square-and-
-// multiply ladder: the accumulator squares once per bit of the longest
-// exponent and multiplies in every base whose exponent has that bit set.
-// For n bases with b-bit exponents this costs b squarings plus ~nb/2
-// multiplications, versus n·b squarings for n separate Fp2Exp calls —
-// the Fp2 analogue of a multi-scalar point multiplication. Negative
-// exponents are not supported (callers reduce into [0, q) first).
-func (c *Field) Fp2MultiExp(xs []*Fp2, ks []*big.Int) (*Fp2, error) {
-	if len(xs) != len(ks) {
-		return nil, fmt.Errorf("ff: mismatched lengths %d vs %d", len(xs), len(ks))
-	}
-	maxBits := 0
-	for _, k := range ks {
-		if k.Sign() < 0 {
-			return nil, fmt.Errorf("ff: negative exponent in multi-exp")
-		}
-		if b := k.BitLen(); b > maxBits {
-			maxBits = b
-		}
-	}
-	r := c.Fp2One()
-	for i := maxBits - 1; i >= 0; i-- {
-		r = c.Fp2Square(r)
-		for j, k := range ks {
-			if k.Bit(i) == 1 {
-				r = c.Fp2Mul(r, xs[j])
-			}
-		}
-	}
-	return r, nil
 }

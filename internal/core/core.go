@@ -99,7 +99,13 @@ func EncodeIBSig(sp *ibc.SystemParams, sig *dvs.Signature) wire.IBSig {
 	return wire.IBSig{U: g.MarshalPoint(sig.U), V: g.MarshalPoint(sig.V)}
 }
 
-// DecodeIBSig parses a wire raw signature, validating group membership.
+// DecodeIBSig parses a wire raw signature. UnmarshalPoint guarantees both
+// U and V are on the curve; order-q membership is NOT checked here. Every
+// caller hands the result straight to dvs.Scheme.PublicVerify, which owns
+// that check (one order-q ladder per component) and rejects a U or V
+// carrying a small-order torsion component — checking here too would pay
+// both ladders twice per verification. A caller that uses the decoded
+// points any other way must run Group.InSubgroup itself.
 func DecodeIBSig(sp *ibc.SystemParams, ws wire.IBSig) (*dvs.Signature, error) {
 	g := sp.G1()
 	u, err := g.UnmarshalPoint(ws.U)
@@ -109,9 +115,6 @@ func DecodeIBSig(sp *ibc.SystemParams, ws wire.IBSig) (*dvs.Signature, error) {
 	v, err := g.UnmarshalPoint(ws.V)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding signature V: %w", err)
-	}
-	if !g.InSubgroup(u) || !g.InSubgroup(v) {
-		return nil, fmt.Errorf("core: signature component outside G1")
 	}
 	return &dvs.Signature{U: u, V: v}, nil
 }

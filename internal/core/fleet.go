@@ -890,7 +890,7 @@ func (a *Agency) verifyStoredBlock(userID string, pos uint64, block []byte, sig 
 		// Threshold mode: the pairing runs through a quorum round; a
 		// quorum failure is a terminal error here too, never a bad block.
 		errs, _, terr := a.verifySigBatchThreshold(context.Background(),
-			[]sigCheck{{index: pos, msg: msg, des: des}}, false, nil, &ThresholdTrail{})
+			[]sigCheck{{index: pos, msg: msg, des: des}}, false, 1, nil, &ThresholdTrail{})
 		if terr != nil {
 			return terr
 		}

@@ -157,7 +157,7 @@ func TestCrossUserBatchAudit(t *testing.T) {
 	if err := scheme.BatchVerify(items, daKey); err != nil {
 		t.Fatalf("cross-user batch failed: %v", err)
 	}
-	if err := scheme.BatchVerifyRandomized(items, daKey, rand.Reader); err != nil {
+	if err := scheme.BatchVerifyRandomized(items, daKey, rand.Reader, 1); err != nil {
 		t.Fatalf("cross-user randomized batch failed: %v", err)
 	}
 }

@@ -39,6 +39,10 @@ func newPool(workers int) *pool {
 	return &pool{sem: make(chan struct{}, workers-1)}
 }
 
+// size is the pool's worker budget, the submitting goroutine included:
+// the resolved cfg.Workers / Agency.workers setting, at least 1.
+func (p *pool) size() int { return cap(p.sem) + 1 }
+
 // forEach runs fn(0) … fn(n-1) across the pool and waits for all of them,
 // skipping tasks not yet dispatched once ctx is cancelled — an aborted
 // audit drains promptly instead of burning CPU on queued checks whose

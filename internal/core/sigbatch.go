@@ -20,10 +20,12 @@ type sigCheck struct {
 // verifySigBatch verifies the pending checks and returns one error slot
 // per check, aligned with the input (nil = verified). With batched set, it
 // first runs the §VI randomized aggregate equation — one pairing for the
-// whole set — and only on aggregate failure falls back to individual
-// verification to attribute blame (the error-locating idea of the paper's
-// reference [10]). The individual pass fans out across the pool; results
-// land in their own slots, so output order is independent of scheduling.
+// whole set, its partial sums split into up to p.size() parallel chunks
+// (dvs.Scheme.AggregateRandomized) — and only on aggregate failure falls
+// back to individual verification to attribute blame (the error-locating
+// idea of the paper's reference [10]). The individual pass fans out across
+// the pool; results land in their own slots, so output order is
+// independent of scheduling.
 // ctx aborts the individual fan-out on terminal audit errors; audit
 // deadlines deliberately do NOT reach here (see AuditJob's verifyCtx) —
 // answered rounds always verify in full.
@@ -46,7 +48,7 @@ func (a *Agency) verifySigBatch(
 		if trail == nil {
 			trail = &ThresholdTrail{}
 		}
-		return a.verifySigBatchThreshold(ctx, checks, batched, avoid, trail)
+		return a.verifySigBatchThreshold(ctx, checks, batched, p.size(), avoid, trail)
 	}
 	errs := make([]error, len(checks))
 	if len(checks) == 0 {
@@ -57,7 +59,7 @@ func (a *Agency) verifySigBatch(
 		for i, sc := range checks {
 			batch[i] = dvs.NewBatchItem(sc.msg, sc.des)
 		}
-		if a.scheme.BatchVerifyRandomized(batch, a.key, a.random) == nil {
+		if a.scheme.BatchVerifyRandomized(batch, a.key, a.random, p.size()) == nil {
 			return errs, false, nil
 		}
 	}

@@ -356,8 +356,9 @@ func combinedDigest(gt *pairing.GT) string {
 // aggregated base U_A; on aggregate failure the per-item fallback packs
 // all per-item bases into a second single quorum round and attributes
 // blame per signature. A terminal error (no quorum) aborts the audit.
+// workers bounds the parallel chunks of the U_A aggregation.
 func (a *Agency) verifySigBatchThreshold(
-	ctx context.Context, checks []sigCheck, batched bool, avoid []int, trail *ThresholdTrail,
+	ctx context.Context, checks []sigCheck, batched bool, workers int, avoid []int, trail *ThresholdTrail,
 ) ([]error, bool, error) {
 	errs := make([]error, len(checks))
 	if len(checks) == 0 {
@@ -369,7 +370,7 @@ func (a *Agency) verifySigBatchThreshold(
 		for i, sc := range checks {
 			batch[i] = dvs.NewBatchItem(sc.msg, sc.des)
 		}
-		ua, sigmaA, err := a.scheme.AggregateRandomized(batch, vid, a.random)
+		ua, sigmaA, err := a.scheme.AggregateRandomized(batch, vid, a.random, workers)
 		if err == nil {
 			combined, cerr := a.collectPartials(ctx, []*curve.Point{ua}, avoid, trail)
 			if cerr != nil {

@@ -347,36 +347,14 @@ func (g *Group) normalizeJacobians(js []jacobian, out []affine) {
 	}
 }
 
-// nafWidth is the width w of the signed-digit (wNAF) recoding the ladders
-// use: every nonzero digit is odd with |d| < 2^(w−1), and any w
+// nafWidth is the width w of the signed-digit recoding (ff.WNAF) the
+// ladders use: every nonzero digit is odd with |d| < 2^(w−1), and any w
 // consecutive digits hold at most one nonzero, so a b-bit scalar costs
 // about b/(w+1) mixed additions against a table of 2^(w−2) odd multiples —
 // negative digits add the negated entry, which is free in affine form.
 // Compared to the binary double-and-add ladder this cuts the additions
 // ~2.5× (see BenchmarkScalarMultAblation).
 const nafWidth = 4
-
-// wnaf returns the width-nafWidth signed digits of k ≥ 0, least
-// significant first.
-func wnaf(k *big.Int) []int8 {
-	kk := new(big.Int).Set(k)
-	var d big.Int
-	out := make([]int8, 0, k.BitLen()+1)
-	for kk.Sign() > 0 {
-		var digit int8
-		if kk.Bit(0) == 1 {
-			v := int64(kk.Bits()[0] & (1<<nafWidth - 1))
-			if v >= 1<<(nafWidth-1) {
-				v -= 1 << nafWidth
-			}
-			digit = int8(v)
-			kk.Sub(kk, d.SetInt64(v))
-		}
-		out = append(out, digit)
-		kk.Rsh(kk, 1)
-	}
-	return out
-}
 
 // nafTable is the number of odd multiples P, 3P, …, (2^(w−1)−1)P a
 // signed-window ladder keeps per base.
@@ -401,7 +379,7 @@ func (g *Group) multiMul(acc *jacobian, bases []affine, ks []*big.Int) {
 			g.jacAddMixed(&cur, &cur, b)
 			odd[i*nafTable+j] = cur
 		}
-		digits[i] = wnaf(ks[i])
+		digits[i] = ff.WNAF(ks[i], nafWidth)
 		maxLen = max(maxLen, len(digits[i]))
 	}
 	table := make([]affine, len(odd))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 
 	"seccloud/internal/curve"
 	"seccloud/internal/ibc"
@@ -36,7 +37,17 @@ func NewBatchItem(msg []byte, sig *Designated) BatchItem {
 // several items in the batch can exploit this; use BatchVerifyRandomized
 // when items come from mutually untrusted sources.
 func (s *Scheme) BatchVerify(items []BatchItem, verifierSK *ibc.PrivateKey) error {
-	return s.batchVerify(items, verifierSK, nil)
+	if len(items) == 0 {
+		return ErrEmptyBatch
+	}
+	if err := s.checkItems(items, verifierSK.ID, true); err != nil {
+		return err
+	}
+	ua, sigmaA, err := s.aggregate(items, nil, nil, 1)
+	if err != nil {
+		return err
+	}
+	return s.checkAggregate(ua, sigmaA, verifierSK)
 }
 
 // batchExponentBits is λ for the small-exponent test. 128-bit exponents
@@ -49,24 +60,16 @@ const batchExponentBits = 128
 // to a fresh random exponent δ_ij before aggregation, making error
 // cancellation infeasible (probability ≤ 1/2^λ for λ-bit exponents; λ is
 // batchExponentBits). This is this repository's hardening extension over
-// the paper's eq. 8.
+// the paper's eq. 8. workers bounds how many chunks of the batch are
+// summed in parallel (see aggregate); the verdict does not depend on it.
 func (s *Scheme) BatchVerifyRandomized(
-	items []BatchItem, verifierSK *ibc.PrivateKey, random io.Reader,
+	items []BatchItem, verifierSK *ibc.PrivateKey, random io.Reader, workers int,
 ) error {
-	if random == nil {
-		return fmt.Errorf("dvs: randomized batch verify requires a randomness source")
-	}
-	if len(items) == 0 {
-		return ErrEmptyBatch
-	}
-	deltas, err := s.sampleDeltas(len(items), random)
+	ua, sigmaA, err := s.AggregateRandomized(items, verifierSK.ID, random, workers)
 	if err != nil {
 		return err
 	}
-	if err := s.batchMembership(items, random); err != nil {
-		return err
-	}
-	return s.batchVerify(items, verifierSK, deltas)
+	return s.checkAggregate(ua, sigmaA, verifierSK)
 }
 
 // sampleDeltas draws the per-item small exponents for the randomized
@@ -97,14 +100,38 @@ func (s *Scheme) sampleDeltas(n int, random io.Reader) ([]*big.Int, error) {
 	return deltas, nil
 }
 
+// sampleGammas draws the 64-bit membership coefficient γᵢ for every item
+// whose U has not already been validated, in item order; the other slots
+// stay nil. See aggregate for the membership check they feed.
+func sampleGammas(items []BatchItem, random io.Reader) ([]*big.Int, error) {
+	gammas := make([]*big.Int, len(items))
+	var buf [8]byte
+	for i, it := range items {
+		d := it.Sig
+		if d == nil || d.U == nil || d.SubgroupChecked {
+			continue // nil is reported by checkItems
+		}
+		if _, err := io.ReadFull(random, buf[:]); err != nil {
+			return nil, fmt.Errorf("dvs: sampling membership coefficient: %w", err)
+		}
+		k := new(big.Int).SetBytes(buf[:])
+		if k.Sign() == 0 {
+			k.SetInt64(1)
+		}
+		gammas[i] = k
+	}
+	return gammas, nil
+}
+
 // AggregateRandomized computes the public half of the randomized aggregate
 // check: the batch-wide base U_A = Σ δᵢ·(Uᵢ + hᵢ·Q_IDᵢ) and target
 // Σ_A = Π Σᵢ^δᵢ, after running the batched membership check. No secret is
 // involved — a threshold combiner hands U_A to the share-holders and tests
 // the Lagrange-combined partials against Σ_A, reaching exactly the verdict
-// BatchVerifyRandomized reaches with sk_ver in hand.
+// BatchVerifyRandomized reaches with sk_ver in hand. workers bounds the
+// parallel chunks (see aggregate); U_A and Σ_A do not depend on it.
 func (s *Scheme) AggregateRandomized(
-	items []BatchItem, verifierID string, random io.Reader,
+	items []BatchItem, verifierID string, random io.Reader, workers int,
 ) (*curve.Point, *pairing.GT, error) {
 	if random == nil {
 		return nil, nil, fmt.Errorf("dvs: randomized aggregation requires a randomness source")
@@ -116,10 +143,14 @@ func (s *Scheme) AggregateRandomized(
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.batchMembership(items, random); err != nil {
+	gammas, err := sampleGammas(items, random)
+	if err != nil {
 		return nil, nil, err
 	}
-	return s.aggregate(items, verifierID, deltas)
+	if err := s.checkItems(items, verifierID, false); err != nil {
+		return nil, nil, err
+	}
+	return s.aggregate(items, deltas, gammas, workers)
 }
 
 // VerificationBase computes the eq. 5/7 base U + H2(U‖m)·Q_ID for one
@@ -146,131 +177,157 @@ func (s *Scheme) VerificationBase(d *Designated, msg []byte, verifierID string) 
 	return g.Add(d.U, g.ScalarMult(s.sp.QID(d.SignerID), h)), nil
 }
 
-// batchMembership checks G1 membership for every item whose U has not
-// already been validated, as one randomized linear combination: T =
-// q·(Σ γᵢUᵢ) with fresh 64-bit coefficients γᵢ must be the identity.
-// Cost is one shared multi-scalar ladder plus a single order-q
-// multiplication, versus one order-q multiplication per point.
-//
-// Soundness: a component of prime order ℓ outside the q-subgroup
-// survives into the sum unless γᵢ ≡ 0 (mod ℓ) — probability ≤ 1/ℓ per
-// check, ≤ 2⁻⁶⁴ for large ℓ. A surviving component fails this check (or,
-// if annihilated here, fails the independently-randomized aggregate
-// equation unless δᵢ also kills it). Both outcomes depend only on the
-// verifier's own randomness, never on the secret key, so accept/reject
-// cannot be used as a key-bit oracle; and an annihilated component
-// leaves an equation identical to the one over the valid order-q parts.
-// Callers that need per-item blame fall back to Verify, whose per-point
-// membership check is strict.
-func (s *Scheme) batchMembership(items []BatchItem, random io.Reader) error {
+// checkItems runs the per-item structural checks in item order, so the
+// error names the lowest failing index whatever the later fan-out does:
+// every item must be complete and designated to verifierID. strict adds
+// the plain aggregate's per-item subgroup checks — it has neither the
+// batched membership test nor the δ randomization to keep a component
+// outside G1 or GT from cancelling across items.
+func (s *Scheme) checkItems(items []BatchItem, verifierID string, strict bool) error {
 	g := s.sp.G1()
-	pts := make([]*curve.Point, 0, len(items))
-	ks := make([]*big.Int, 0, len(items))
-	var buf [8]byte
-	for _, it := range items {
+	for i, it := range items {
 		d := it.Sig
-		if d == nil || d.U == nil || d.SubgroupChecked {
-			continue // nil handled by batchVerify's item validation
+		if d == nil || d.U == nil || d.Sigma == nil || it.Msg == nil {
+			return fmt.Errorf("dvs: batch item %d incomplete: %w", i, ErrVerifyFailed)
 		}
-		if _, err := io.ReadFull(random, buf[:]); err != nil {
-			return fmt.Errorf("dvs: sampling membership coefficient: %w", err)
+		if d.VerifierID != verifierID {
+			return fmt.Errorf("dvs: batch item %d designated to %q, verifier is %q: %w",
+				i, d.VerifierID, verifierID, ErrVerifyFailed)
 		}
-		k := new(big.Int).SetBytes(buf[:])
-		if k.Sign() == 0 {
-			k.SetInt64(1)
+		if !strict {
+			continue
 		}
-		pts = append(pts, d.U)
-		ks = append(ks, k)
-	}
-	if len(pts) == 0 {
-		return nil
-	}
-	sum, err := g.SumScalarMult(pts, ks)
-	if err != nil {
-		return fmt.Errorf("dvs: batch membership: %w", err)
-	}
-	if !g.ScalarMult(sum, g.Q()).Inf {
-		return fmt.Errorf("dvs: batch contains U outside G1: %w", ErrVerifyFailed)
+		if !d.SubgroupChecked && !g.InSubgroup(d.U) {
+			return fmt.Errorf("dvs: batch item %d has U outside G1: %w", i, ErrVerifyFailed)
+		}
+		if !d.Sigma.InSubgroup() {
+			return fmt.Errorf("dvs: batch item %d has Σ outside GT: %w", i, ErrVerifyFailed)
+		}
 	}
 	return nil
 }
 
-// batchVerify evaluates the aggregate equation with batch-wide shared
-// ladders rather than per-item multiplications:
-//
-//   - the Q_ID contribution is grouped per signer — Σᵢ∈signer δᵢhᵢ mod q
-//     is accumulated in Zq and Q_ID enters the point sum once per signer,
-//     not once per item (cross-user batches repeat signers heavily);
-//   - U_A is one interleaved multi-scalar multiplication over every Uᵢ
-//     and every grouped Q_ID, sharing a single doubling ladder;
-//   - Σ_A uses one shared squaring ladder (GT multi-exp) for the
-//     randomized path.
-func (s *Scheme) batchVerify(items []BatchItem, verifierSK *ibc.PrivateKey, deltas []*big.Int) error {
-	ua, sigmaA, err := s.aggregate(items, verifierSK.ID, deltas)
-	if err != nil {
-		return err
-	}
-	got := s.pairWithVerifier(ua, verifierSK)
-	if !got.Equal(sigmaA) {
+// checkAggregate tests the aggregate equation ê(U_A, sk_ver) = Σ_A with
+// one pairing through the per-verifier precomputation.
+func (s *Scheme) checkAggregate(ua *curve.Point, sigmaA *pairing.GT, verifierSK *ibc.PrivateKey) error {
+	if !s.pairWithVerifier(ua, verifierSK).Equal(sigmaA) {
 		return ErrVerifyFailed
 	}
 	return nil
 }
 
-// aggregate builds (U_A, Σ_A) for the aggregate equation; see batchVerify
-// for the ladder-sharing layout. deltas == nil selects the plain eq. 8
-// aggregate with strict per-item subgroup checks.
-func (s *Scheme) aggregate(items []BatchItem, verifierID string, deltas []*big.Int) (*curve.Point, *pairing.GT, error) {
-	if len(items) == 0 {
-		return nil, nil, ErrEmptyBatch
+// minBatchChunk is the fewest items a parallel chunk holds. Each chunk
+// pays its own doubling chains, squaring chain, affine conversions and
+// one Q_ID term per signer it contains; below this size that fixed cost
+// outweighs what another core saves, so small batches keep one chain.
+const minBatchChunk = 8
+
+// batchChunks is the chunk count for n items on the given worker budget:
+// one chunk per worker, but no chunk under minBatchChunk items.
+func batchChunks(n, workers int) int {
+	return max(1, min(workers, n/minBatchChunk))
+}
+
+// aggregate builds (U_A, Σ_A) for the aggregate equation, the work behind
+// every batch verification. The items split into k = batchChunks(n,
+// workers) contiguous chunks [c·n/k, (c+1)·n/k), computed in parallel.
+// Chunk c produces its own partial sums:
+//
+//   - Σ γᵢ·Uᵢ over its items that still need the membership test;
+//   - Σ δᵢ·Uᵢ plus Q_ID·(Σ δᵢhᵢ mod q) once per signer in the chunk — a
+//     signer's hashes are grouped in Zq, so Q_ID enters a chunk's point
+//     sum once, not once per item (cross-user batches repeat signers);
+//   - Π Σᵢ^δᵢ, one signed-window GT multi-exp.
+//
+// Each sum is one interleaved multi-scalar ladder with a single shared
+// doubling (or squaring) chain. The join adds the partials in chunk
+// order, runs the single membership test q·(Σ γᵢUᵢ) = O, and returns
+// (U_A, Σ_A) for the single precomputed pairing. One worker is one chunk,
+// the single-ladder computation. Because both are group sums, the chunk
+// count changes only the work layout, never U_A or Σ_A.
+//
+// Every coefficient is drawn before the fan-out, sequentially, in one
+// fixed order — all δ, then γ for the unchecked items — and item checks
+// run in item order before it too. A seeded reader therefore gives
+// byte-identical aggregates, verdicts and errors for any worker count,
+// and the reader is never shared between goroutines.
+//
+// Membership soundness: a component of prime order ℓ outside the
+// q-subgroup survives into Σ γᵢUᵢ unless γᵢ ≡ 0 (mod ℓ) — probability
+// ≤ 1/ℓ per check, ≤ 2⁻⁶⁴ for large ℓ. A surviving component fails the
+// membership test (or, if annihilated there, fails the independently-
+// randomized aggregate equation unless δᵢ also kills it). Both outcomes
+// depend only on the verifier's own randomness, never on the secret key,
+// so accept/reject cannot be used as a key-bit oracle; and an annihilated
+// component leaves an equation identical to the one over the valid
+// order-q parts. A Σ off the norm-1 subgroup is rejected by the GT
+// multi-exp outright. Callers that need per-item blame fall back to
+// Verify, whose per-point membership check is strict.
+//
+// deltas == nil selects the plain eq. 8 aggregate (every coefficient 1,
+// Σ_A a plain product, no membership sum: checkItems was strict).
+func (s *Scheme) aggregate(items []BatchItem, deltas, gammas []*big.Int, workers int) (*curve.Point, *pairing.GT, error) {
+	n := len(items)
+	k := batchChunks(n, workers)
+	parts := make([]chunkSums, k)
+	forEachChunk(k, func(c int) {
+		parts[c] = s.sumChunk(items, deltas, gammas, c*n/k, (c+1)*n/k)
+	})
+	g := s.sp.G1()
+	member, ua, sigmaA := parts[0].member, parts[0].ua, parts[0].sigma
+	for c, p := range parts {
+		if p.err != nil {
+			return nil, nil, fmt.Errorf("dvs: aggregating batch items [%d, %d): %v: %w",
+				c*n/k, (c+1)*n/k, p.err, ErrVerifyFailed)
+		}
+		if c > 0 {
+			member = g.Add(member, p.member)
+			ua = g.Add(ua, p.ua)
+			sigmaA = sigmaA.Mul(p.sigma)
+		}
 	}
+	if !g.ScalarMult(member, g.Q()).Inf {
+		return nil, nil, fmt.Errorf("dvs: batch contains U outside G1: %w", ErrVerifyFailed)
+	}
+	return ua, sigmaA, nil
+}
+
+// chunkSums are one chunk's partial sums; see aggregate.
+type chunkSums struct {
+	member *curve.Point // Σ γᵢ·Uᵢ (infinity when no item needs the test)
+	ua     *curve.Point // Σ δᵢ·Uᵢ + Σ_signers Q_ID·(Σ δᵢhᵢ)
+	sigma  *pairing.GT  // Π Σᵢ^δᵢ
+	err    error
+}
+
+// sumChunk computes the partial sums of items [lo, hi).
+func (s *Scheme) sumChunk(items []BatchItem, deltas, gammas []*big.Int, lo, hi int) chunkSums {
 	g := s.sp.G1()
 	q := g.Q()
 	one := big.NewInt(1)
-
-	pts := make([]*curve.Point, 0, len(items)+8)
-	ks := make([]*big.Int, 0, len(items)+8)
-	signerK := make(map[string]*big.Int, 8)
-	signerOrder := make([]string, 0, 8)
-	var sigmaA *pairing.GT
-	sigs := make([]*pairing.GT, 0, len(items))
-	for i, it := range items {
-		d := it.Sig
-		if d == nil || d.U == nil || d.Sigma == nil || it.Msg == nil {
-			return nil, nil, fmt.Errorf("dvs: batch item %d incomplete: %w", i, ErrVerifyFailed)
+	var out chunkSums
+	pts := make([]*curve.Point, 0, hi-lo+1)
+	ks := make([]*big.Int, 0, hi-lo+1)
+	var mPts []*curve.Point
+	var mKs []*big.Int
+	sigs := make([]*pairing.GT, 0, hi-lo)
+	signerK := make(map[string]*big.Int, 1)
+	signerOrder := make([]string, 0, 1)
+	for i := lo; i < hi; i++ {
+		d := items[i].Sig
+		if gammas != nil && gammas[i] != nil {
+			mPts = append(mPts, d.U)
+			mKs = append(mKs, gammas[i])
 		}
-		if d.VerifierID != verifierID {
-			return nil, nil, fmt.Errorf("dvs: batch item %d designated to %q, verifier is %q: %w",
-				i, d.VerifierID, verifierID, ErrVerifyFailed)
-		}
-		// The randomized entry point has already run the batched
-		// membership check, and its per-item δ randomization keeps a Σ
-		// outside the target subgroup from cancelling across items. The
-		// plain aggregate has neither shield, so it keeps strict per-item
-		// checks for any component not validated upstream.
-		if deltas == nil {
-			if !d.SubgroupChecked && !g.InSubgroup(d.U) {
-				return nil, nil, fmt.Errorf("dvs: batch item %d has U outside G1: %w", i, ErrVerifyFailed)
-			}
-			if !d.Sigma.InSubgroup() {
-				return nil, nil, fmt.Errorf("dvs: batch item %d has Σ outside GT: %w", i, ErrVerifyFailed)
-			}
-		}
-		h := s.sp.H2(g.MarshalPoint(d.U), *it.Msg)
+		h := s.sp.H2(g.MarshalPoint(d.U), *items[i].Msg)
 		ku := one
 		if deltas != nil {
 			ku = deltas[i]
-			h = h.Mul(h, deltas[i]).Mod(h, q)
-			sigs = append(sigs, d.Sigma)
-		} else {
-			if sigmaA == nil {
-				sigmaA = d.Sigma
-			} else {
-				sigmaA = sigmaA.Mul(d.Sigma)
-			}
+			h.Mul(h, ku).Mod(h, q)
 		}
 		pts = append(pts, d.U)
 		ks = append(ks, ku)
+		sigs = append(sigs, d.Sigma)
 		if acc, ok := signerK[d.SignerID]; ok {
 			acc.Add(acc, h).Mod(acc, q)
 		} else {
@@ -282,17 +339,39 @@ func (s *Scheme) aggregate(items []BatchItem, verifierID string, deltas []*big.I
 		pts = append(pts, s.sp.QID(id))
 		ks = append(ks, signerK[id])
 	}
-	ua, err := g.SumScalarMult(pts, ks)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dvs: aggregating batch: %w", err)
+	if out.ua, out.err = g.SumScalarMult(pts, ks); out.err != nil {
+		return out
 	}
-	if deltas != nil {
-		sigmaA, err = s.sp.Pairing().MultiExp(sigs, deltas)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dvs: aggregating batch: %w", err)
+	out.member = g.Infinity()
+	if len(mPts) > 0 {
+		if out.member, out.err = g.SumScalarMult(mPts, mKs); out.err != nil {
+			return out
 		}
 	}
-	return ua, sigmaA, nil
+	if deltas == nil {
+		out.sigma = sigs[0]
+		for _, sg := range sigs[1:] {
+			out.sigma = out.sigma.Mul(sg)
+		}
+		return out
+	}
+	out.sigma, out.err = s.sp.Pairing().MultiExp(sigs, deltas[lo:hi])
+	return out
+}
+
+// forEachChunk runs fn(0) … fn(n−1), chunk 0 on the calling goroutine and
+// each other chunk on its own, and returns once all are done.
+func forEachChunk(n int, fn func(c int)) {
+	var wg sync.WaitGroup
+	for c := 1; c < n; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(c)
+		}()
+	}
+	fn(0)
+	wg.Wait()
 }
 
 // AggregateSigma multiplies the Σ components of a batch into the single

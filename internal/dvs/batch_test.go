@@ -1,9 +1,12 @@
 package dvs
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
+	mrand "math/rand"
+	"strings"
 	"testing"
 
 	"seccloud/internal/ibc"
@@ -58,7 +61,7 @@ func TestBatchVerifyAcceptsValid(t *testing.T) {
 			if err := f.scheme.BatchVerify(f.items, f.cs); err != nil {
 				t.Fatalf("BatchVerify: %v", err)
 			}
-			if err := f.scheme.BatchVerifyRandomized(f.items, f.cs, rand.Reader); err != nil {
+			if err := f.scheme.BatchVerifyRandomized(f.items, f.cs, rand.Reader, 1); err != nil {
 				t.Fatalf("BatchVerifyRandomized: %v", err)
 			}
 		})
@@ -75,7 +78,7 @@ func TestBatchVerifyEmptyIsError(t *testing.T) {
 	if err := f.scheme.BatchVerify([]BatchItem{}, f.cs); !errors.Is(err, ErrEmptyBatch) {
 		t.Fatalf("BatchVerify(empty): got %v, want ErrEmptyBatch", err)
 	}
-	if err := f.scheme.BatchVerifyRandomized(nil, f.cs, rand.Reader); !errors.Is(err, ErrEmptyBatch) {
+	if err := f.scheme.BatchVerifyRandomized(nil, f.cs, rand.Reader, 1); !errors.Is(err, ErrEmptyBatch) {
 		t.Fatalf("BatchVerifyRandomized(nil): got %v, want ErrEmptyBatch", err)
 	}
 }
@@ -90,7 +93,7 @@ func TestBatchVerifyDetectsSingleBadItem(t *testing.T) {
 	if err := f.scheme.BatchVerify(bad, f.cs); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("got %v, want ErrVerifyFailed", err)
 	}
-	if err := f.scheme.BatchVerifyRandomized(bad, f.cs, rand.Reader); !errors.Is(err, ErrVerifyFailed) {
+	if err := f.scheme.BatchVerifyRandomized(bad, f.cs, rand.Reader, 1); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("randomized: got %v, want ErrVerifyFailed", err)
 	}
 }
@@ -148,7 +151,7 @@ func TestPlainBatchFooledByCancellation(t *testing.T) {
 		t.Fatalf("expected plain batch to be fooled by cancellation, got %v", err)
 	}
 	// Randomized batch detects it.
-	if err := f.scheme.BatchVerifyRandomized(forged, f.cs, rand.Reader); !errors.Is(err, ErrVerifyFailed) {
+	if err := f.scheme.BatchVerifyRandomized(forged, f.cs, rand.Reader, 1); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("randomized batch missed cancellation attack: %v", err)
 	}
 }
@@ -217,7 +220,7 @@ func TestBatchVerifyIncompleteItem(t *testing.T) {
 	if err := f.scheme.BatchVerify(items, f.cs); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("got %v, want ErrVerifyFailed", err)
 	}
-	if err := f.scheme.BatchVerifyRandomized(f.items, f.cs, nil); err == nil {
+	if err := f.scheme.BatchVerifyRandomized(f.items, f.cs, nil, 1); err == nil {
 		t.Fatal("nil randomness accepted")
 	}
 }
@@ -229,7 +232,7 @@ func TestBatchVerifyIncompleteItem(t *testing.T) {
 func TestAggregateRandomizedMatchesSecretCheck(t *testing.T) {
 	f := newMultiUserFixture(t, 3, 2)
 	sp := f.scheme.Params()
-	ua, sigmaA, err := f.scheme.AggregateRandomized(f.items, f.cs.ID, rand.Reader)
+	ua, sigmaA, err := f.scheme.AggregateRandomized(f.items, f.cs.ID, rand.Reader, 1)
 	if err != nil {
 		t.Fatalf("AggregateRandomized: %v", err)
 	}
@@ -240,7 +243,7 @@ func TestAggregateRandomizedMatchesSecretCheck(t *testing.T) {
 	// A tampered item must break the equation (with overwhelming
 	// probability over the small exponents).
 	f.items[1].Sig.Sigma = f.items[1].Sig.Sigma.Mul(f.items[1].Sig.Sigma)
-	ua, sigmaA, err = f.scheme.AggregateRandomized(f.items, f.cs.ID, rand.Reader)
+	ua, sigmaA, err = f.scheme.AggregateRandomized(f.items, f.cs.ID, rand.Reader, 1)
 	if err != nil {
 		t.Fatalf("AggregateRandomized on tampered batch: %v", err)
 	}
@@ -265,5 +268,76 @@ func TestVerificationBase(t *testing.T) {
 	}
 	if _, err := f.scheme.VerificationBase(nil, f.msgs[0], f.cs.ID); err == nil {
 		t.Fatalf("base computed for nil signature")
+	}
+}
+
+// chunkFixture is a batch from three signers, interleaved so that every
+// chunk layout splits some signer's items across chunks.
+func chunkFixture(t *testing.T, n int) *multiUserFixture {
+	t.Helper()
+	f := newMultiUserFixture(t, 3, (n+2)/3)
+	items := make([]BatchItem, 0, n)
+	per := (n + 2) / 3
+	for j := 0; len(items) < n; j++ {
+		for u := 0; u < 3 && len(items) < n; u++ {
+			items = append(items, f.items[u*per+j])
+		}
+	}
+	f.items = items
+	return f
+}
+
+// TestAggregateChunkedMatchesSingleChunk is the differential check for
+// the parallel layout: with the same seeded reader, every worker count
+// yields the single-chunk U_A and Σ_A byte for byte, and the batch
+// verifies.
+func TestAggregateChunkedMatchesSingleChunk(t *testing.T) {
+	f := chunkFixture(t, 64)
+	sp := f.scheme.Params()
+	g := sp.G1()
+	for _, n := range []int{1, 7, 8, 9, 16, 64} {
+		items := f.items[:n]
+		ua1, sig1, err := f.scheme.AggregateRandomized(items, f.cs.ID, mrand.New(mrand.NewSource(int64(n))), 1)
+		if err != nil {
+			t.Fatalf("n=%d: single chunk: %v", n, err)
+		}
+		if !sp.Pairing().Pair(ua1, f.cs.SK).Equal(sig1) {
+			t.Fatalf("n=%d: aggregate equation fails for a valid batch", n)
+		}
+		for workers := 2; workers <= 4; workers++ {
+			ua, sig, err := f.scheme.AggregateRandomized(items, f.cs.ID, mrand.New(mrand.NewSource(int64(n))), workers)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if !bytes.Equal(g.MarshalPoint(ua), g.MarshalPoint(ua1)) || !bytes.Equal(sig.Marshal(), sig1.Marshal()) {
+				t.Fatalf("n=%d workers=%d (%d chunks): aggregate differs from the single chunk",
+					n, workers, batchChunks(n, workers))
+			}
+			if err := f.scheme.BatchVerifyRandomized(items, f.cs, mrand.New(mrand.NewSource(int64(n))), workers); err != nil {
+				t.Fatalf("n=%d workers=%d: valid batch rejected: %v", n, workers, err)
+			}
+		}
+	}
+}
+
+// TestChunkedBatchLowestIndexError: structural errors are found before
+// the fan-out, so the lowest bad index is reported for every worker count.
+func TestChunkedBatchLowestIndexError(t *testing.T) {
+	f := chunkFixture(t, 24)
+	mis := *f.items[5].Sig
+	mis.VerifierID = "someone-else"
+	items := append([]BatchItem(nil), f.items...)
+	items[5] = BatchItem{Msg: items[5].Msg, Sig: &mis}
+	items[20] = BatchItem{Msg: items[20].Msg}
+	items[14] = BatchItem{Sig: items[14].Sig}
+	for workers := 1; workers <= 4; workers++ {
+		err := f.scheme.BatchVerifyRandomized(items, f.cs, mrand.New(mrand.NewSource(1)), workers)
+		if !errors.Is(err, ErrVerifyFailed) || !strings.Contains(err.Error(), "batch item 5 ") {
+			t.Fatalf("workers=%d: got %v, want the item-5 designation error", workers, err)
+		}
+		_, _, err = f.scheme.AggregateRandomized(items[6:], f.cs.ID, mrand.New(mrand.NewSource(1)), workers)
+		if !errors.Is(err, ErrVerifyFailed) || !strings.Contains(err.Error(), "batch item 8 incomplete") {
+			t.Fatalf("workers=%d: got %v, want the item-8 (original 14) error", workers, err)
+		}
 	}
 }

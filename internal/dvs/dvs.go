@@ -22,6 +22,18 @@
 //	Σ_A = Π Σ_ij,  U_A = Σ (U_ij + h_ij·Q_IDi),  check ê(U_A, sk_ver) = Σ_A,
 //
 // reducing verification to a constant number of pairings.
+//
+// The randomized variant (BatchVerifyRandomized, AggregateRandomized)
+// raises item i to a fresh 128-bit δᵢ and checks G1 membership of the
+// Uᵢ with one randomized sum q·(Σ γᵢUᵢ) = O. Its sums split into
+// contiguous chunks, one per worker and at least minBatchChunk items
+// each, computed in parallel: every chunk yields its own Σ γᵢUᵢ, its own
+// Σ δᵢUᵢ plus Q_ID terms for the signers it contains, and its own
+// Π Σᵢ^δᵢ; the join adds the partials in chunk order before the single
+// membership test and the single pairing. All randomness is drawn before
+// the fan-out, in a fixed order (every δ, then every γ), so a seeded
+// reader yields the same aggregate for any worker count and no goroutine
+// ever reads it. See Scheme.aggregate for the layout and soundness.
 package dvs
 
 import (

@@ -106,7 +106,7 @@ func BenchmarkPublicVerify(b *testing.B) {
 }
 
 func BenchmarkBatchVerify(b *testing.B) {
-	run := func(name string, pp *pairing.Params, n int, randomized bool) {
+	run := func(name string, pp *pairing.Params, n int, randomized bool, workers int) {
 		b.Run(name, func(b *testing.B) {
 			scheme, signer, verifier := benchSchemeAt(b, pp)
 			items := make([]BatchItem, n)
@@ -124,7 +124,7 @@ func BenchmarkBatchVerify(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if randomized {
-					err = scheme.BatchVerifyRandomized(items, verifier, rand.Reader)
+					err = scheme.BatchVerifyRandomized(items, verifier, rand.Reader, workers)
 				} else {
 					err = scheme.BatchVerify(items, verifier)
 				}
@@ -136,12 +136,15 @@ func BenchmarkBatchVerify(b *testing.B) {
 	}
 	for _, n := range []int{4, 16, 64} {
 		for _, randomized := range []bool{false, true} {
-			run(fmt.Sprintf("n=%d/randomized=%v", n, randomized), pairing.InsecureTest256(), n, randomized)
+			run(fmt.Sprintf("n=%d/randomized=%v", n, randomized), pairing.InsecureTest256(), n, randomized, 1)
 		}
 	}
 	// The storage-audit hot path: one randomized batch of the audit's
-	// t = 64 designated signatures at the paper's SS512 parameters.
-	run("ss512/n=64/randomized=true", pairing.SS512(), 64, true)
+	// t = 64 designated signatures at the paper's SS512 parameters, on one
+	// chunk and on the two chunks an audit with Workers 2 uses.
+	for _, workers := range []int{1, 2} {
+		run(fmt.Sprintf("ss512/n=64/randomized=true/workers=%d", workers), pairing.SS512(), 64, true, workers)
+	}
 }
 
 func BenchmarkSimulate(b *testing.B) {

@@ -345,3 +345,42 @@ func TestFp2StringStable(t *testing.T) {
 		t.Fatalf("Fp2String output %q missing coordinate", got)
 	}
 }
+
+func TestWNAFRecodes(t *testing.T) {
+	ks := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(7), big.NewInt(8), big.NewInt(15), big.NewInt(255)}
+	for i := 0; i < 200; i++ {
+		k, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(1+i%300)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks = append(ks, k)
+	}
+	for _, w := range []uint{2, 3, 4, 5, 8} {
+		for _, k := range ks {
+			ds := WNAF(k, w)
+			sum := new(big.Int)
+			last := -int(w)
+			for i := len(ds) - 1; i >= 0; i-- {
+				sum.Lsh(sum, 1).Add(sum, big.NewInt(int64(ds[i])))
+			}
+			if sum.Cmp(k) != 0 {
+				t.Fatalf("w=%d: digits of %v sum to %v", w, k, sum)
+			}
+			if len(ds) > 0 && ds[len(ds)-1] == 0 {
+				t.Fatalf("w=%d: digits of %v end in zero", w, k)
+			}
+			for i, d := range ds {
+				if d == 0 {
+					continue
+				}
+				if v := int(d); v%2 == 0 || v >= 1<<(w-1) || v <= -(1<<(w-1)) {
+					t.Fatalf("w=%d: digit %d of %v is %d", w, i, k, d)
+				}
+				if i-last < int(w) {
+					t.Fatalf("w=%d: nonzero digits %d and %d of %v closer than w", w, last, i, k)
+				}
+				last = i
+			}
+		}
+	}
+}

@@ -142,32 +142,74 @@ func (c *Ctx) Fp2Exp(z, x *Fp2, k *big.Int) {
 	*z = r
 }
 
-// Fp2MultiExp sets z = Π xᵢ^kᵢ for kᵢ ≥ 0 with one shared square-and-
-// multiply ladder: the accumulator squares once per bit of the longest
-// exponent and multiplies in every base whose exponent has that bit set.
-// For n bases with b-bit exponents this costs b squarings plus ~nb/2
-// multiplications, versus n·b squarings for n separate Fp2Exp calls —
-// the Fp2 analogue of a multi-scalar point multiplication. Negative
-// exponents are not supported (callers reduce into [0, q) first).
+// fp2IsUnitary reports whether x has norm a² + b² = 1, i.e. x^(p+1) = 1.
+// The order-q target group GT lies inside this norm-1 subgroup, where the
+// conjugate of an element is its inverse.
+func (c *Ctx) fp2IsUnitary(x *Fp2) bool {
+	var n, bb Elem
+	c.Square(&n, &x.A)
+	c.Square(&bb, &x.B)
+	c.Add(&n, &n, &bb)
+	return n == c.one
+}
+
+// multiExpWindow is the signed-window width of Fp2MultiExp: each base
+// keeps the 2^(w−2) odd powers x, x³, …, x^(2^(w−1)−1).
+const multiExpWindow = 4
+
+// Fp2MultiExp sets z = Π xᵢ^kᵢ for unitary bases xᵢ and kᵢ ≥ 0 with
+// interleaved width-4 signed windows (WNAF): one squaring chain for the
+// whole product, and per base a table of odd powers multiplied in at that
+// base's nonzero digits — a negative digit multiplies by the conjugate of
+// the table entry, which is its inverse because the base is unitary. For
+// n bases with b-bit exponents this costs b squarings plus ~n·b/5
+// multiplications, versus ~n·b/2 for the unsigned joint ladder and n·b
+// squarings for n separate Fp2Exp calls — the Fp2 analogue of a
+// multi-scalar point multiplication (curve.SumScalarMult).
+//
+// Conjugation inverts only norm-1 elements, so every base is checked
+// before any exponentiation: a non-unitary base (a² + b² ≠ 1) or a
+// negative exponent is an error, leaving z unchanged.
 func (c *Ctx) Fp2MultiExp(z *Fp2, xs []*Fp2, ks []*big.Int) error {
 	if len(xs) != len(ks) {
 		return fmt.Errorf("ff: mismatched lengths %d vs %d", len(xs), len(ks))
 	}
-	maxBits := 0
-	for _, k := range ks {
-		if k.Sign() < 0 {
+	for i, x := range xs {
+		if ks[i].Sign() < 0 {
 			return fmt.Errorf("ff: negative exponent in multi-exp")
 		}
-		if b := k.BitLen(); b > maxBits {
-			maxBits = b
+		if !c.fp2IsUnitary(x) {
+			return fmt.Errorf("ff: multi-exp base %d is not unitary", i)
+		}
+	}
+	const per = 1 << (multiExpWindow - 2)
+	table := make([]Fp2, len(xs)*per)
+	digits := make([][]int8, len(xs))
+	maxLen := 0
+	for i, x := range xs {
+		digits[i] = WNAF(ks[i], multiExpWindow)
+		maxLen = max(maxLen, len(digits[i]))
+		t := table[i*per : (i+1)*per]
+		t[0] = *x
+		var x2 Fp2
+		c.Fp2Square(&x2, x)
+		for j := 1; j < per; j++ {
+			c.Fp2Mul(&t[j], &t[j-1], &x2)
 		}
 	}
 	r := c.Fp2One()
-	for i := maxBits - 1; i >= 0; i-- {
+	for i := maxLen - 1; i >= 0; i-- {
 		c.Fp2Square(&r, &r)
-		for j, k := range ks {
-			if k.Bit(i) == 1 {
-				c.Fp2Mul(&r, &r, xs[j])
+		for j, ds := range digits {
+			if i >= len(ds) || ds[i] == 0 {
+				continue
+			}
+			if d := ds[i]; d > 0 {
+				c.Fp2Mul(&r, &r, &table[j*per+int(d/2)])
+			} else {
+				var inv Fp2
+				c.Fp2Conj(&inv, &table[j*per+int(-d/2)])
+				c.Fp2Mul(&r, &r, &inv)
 			}
 		}
 	}

@@ -137,16 +137,61 @@ func checkFp2(t *testing.T, s diffSet, a, b *big.Int, k *big.Int) {
 	cmp("conj", rf.Fp2Conj(rx))
 	fp.Fp2Exp(&z, &x, k)
 	cmp("exp", rf.Fp2Exp(rx, k))
+	// The signed multi-exp is defined on unitary bases only: on x and y it
+	// must error unless they happen to have norm 1, and on the unitary
+	// x^(p−1) = x̄/x and y^(p−1) it must match a product of reference
+	// exponentiations.
 	kk := new(big.Int).Abs(k)
 	ks := []*big.Int{kk, new(big.Int).Rsh(kk, 3), big.NewInt(0)}
-	if err := fp.Fp2MultiExp(&z, []*ff.Fp2{&x, &y, &x}, ks); err != nil {
-		t.Fatal(err)
+	checkMultiExp(t, s, []*bigref.Fp2{rx, ry, rx}, ks)
+	if ux, ok := unitaryRef(s, rx); ok {
+		uy, _ := unitaryRef(s, ry)
+		checkMultiExp(t, s, []*bigref.Fp2{ux, uy, ux}, ks)
 	}
-	want, err := rf.Fp2MultiExp([]*bigref.Fp2{rx, ry, rx}, ks)
+}
+
+// unitaryRef returns x^(p−1) = x̄·x⁻¹, which has norm 1, or false for
+// x = 0.
+func unitaryRef(s diffSet, x *bigref.Fp2) (*bigref.Fp2, bool) {
+	inv, err := s.ref.F.Fp2Inv(x)
 	if err != nil {
-		t.Fatal(err)
+		return nil, false
 	}
-	cmp("multi-exp", want)
+	return s.ref.F.Fp2Mul(s.ref.F.Fp2Conj(x), inv), true
+}
+
+// checkMultiExp compares the signed multi-exp with Π xᵢ^kᵢ computed by
+// reference exponentiations when every base is unitary, and requires an
+// error when any base is not.
+func checkMultiExp(t *testing.T, s diffSet, xs []*bigref.Fp2, ks []*big.Int) {
+	t.Helper()
+	rf := s.ref.F
+	bases := make([]ff.Fp2, len(xs))
+	ptrs := make([]*ff.Fp2, len(xs))
+	want := rf.Fp2One()
+	unitary := true
+	for i, x := range xs {
+		bases[i] = s.fp.NewFp2(x.A, x.B)
+		ptrs[i] = &bases[i]
+		if rf.Add(rf.Mul(x.A, x.A), rf.Mul(x.B, x.B)).Cmp(big.NewInt(1)) != 0 {
+			unitary = false
+		}
+		want = rf.Fp2Mul(want, rf.Fp2Exp(x, ks[i]))
+	}
+	var z ff.Fp2
+	err := s.fp.Fp2MultiExp(&z, ptrs, ks)
+	if !unitary {
+		if err == nil {
+			t.Fatalf("%s: multi-exp accepted a non-unitary base", s.pp.Name())
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: multi-exp on unitary bases: %v", s.pp.Name(), err)
+	}
+	if !bytes.Equal(fp2Bytes(s, &z), refFp2Bytes(s, want)) {
+		t.Fatalf("%s: signed multi-exp (ks=%v) differs from reference", s.pp.Name(), ks)
+	}
 }
 
 // scalarEdges are multipliers around the group order and window edges.
@@ -267,7 +312,9 @@ func TestDifferentialPairing(t *testing.T) {
 // the Fp and Fp2 operations on (a, b), a G1 ladder by a signed scalar
 // from a, membership of the curve point lifted from a, a two-term
 // multi-scalar sum and H1(b), and at test256 the pairing of the two
-// points. Results must match byte for byte.
+// points. Results must match byte for byte. The Fp2 checks include the
+// signed multi-exp: on the unitary (a+bi)^(p−1) it must match reference
+// exponentiations, and on a+bi itself it must error unless a²+b² = 1.
 func FuzzDifferential(f *testing.F) {
 	for i, s := range diffSets() {
 		edges := fieldEdges(s.g.P())

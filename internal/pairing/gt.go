@@ -49,9 +49,16 @@ func (g *GT) Exp(k *big.Int) *GT {
 }
 
 // MultiExp returns Π gᵢ^kᵢ with exponents reduced mod q, sharing one
-// squaring ladder across the whole product (ff.Fp2MultiExp). This is the
-// batched analogue of Exp: aggregate verification over n signatures pays
-// the ladder's squarings once instead of n times.
+// squaring ladder of interleaved signed windows across the whole product
+// (ff.Fp2MultiExp). This is the batched analogue of Exp: aggregate
+// verification over n signatures pays the ladder's squarings once instead
+// of n times.
+//
+// A negative window digit multiplies by a conjugate, which is the inverse
+// only for unitary elements (norm a² + b² = 1, the subgroup containing
+// GT). Elements decoded with UnmarshalGTUnchecked need not be unitary, so
+// any base with norm ≠ 1 is rejected with an error before exponentiating
+// — never silently mis-exponentiated.
 func (pp *Params) MultiExp(gs []*GT, ks []*big.Int) (*GT, error) {
 	if len(gs) != len(ks) {
 		return nil, fmt.Errorf("pairing: mismatched multi-exp lengths %d vs %d", len(gs), len(ks))

@@ -3,6 +3,7 @@ package pairing
 import (
 	"crypto/rand"
 	"fmt"
+	"math/big"
 	"testing"
 
 	"seccloud/internal/curve"
@@ -115,6 +116,33 @@ func BenchmarkGTOps(b *testing.B) {
 	b.Run("marshal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e1.Marshal()
+		}
+	})
+}
+
+// BenchmarkGTMultiExp times the signed-window GT multi-exp at the shape
+// of a storage audit's randomized batch: 64 pairing outputs raised to
+// 128-bit small exponents.
+func BenchmarkGTMultiExp(b *testing.B) {
+	pp := SS512()
+	const n = 64
+	ps, qs := benchPoints(b, pp, n)
+	gs := make([]*GT, n)
+	ks := make([]*big.Int, n)
+	for i := range gs {
+		gs[i] = pp.Pair(ps[i], qs[i])
+		k, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), 128))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks[i] = k
+	}
+	b.Run("ss512/n=64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := pp.MultiExp(gs, ks); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

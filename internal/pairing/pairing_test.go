@@ -238,3 +238,30 @@ func TestSS512BilinearOnce(t *testing.T) {
 		t.Fatal("SS512 bilinearity fails")
 	}
 }
+
+// TestMultiExpRejectsNonUnitary pins the guard in front of the signed
+// windows: conjugation is the inverse only on norm-1 elements, so a base
+// decoded without the subgroup check and lying off the norm-1 subgroup
+// must be an error, not a wrong product.
+func TestMultiExpRejectsNonUnitary(t *testing.T) {
+	pp := InsecureTest256()
+	g := pp.G1()
+	good := pp.Pair(g.Generator(), g.Generator())
+	raw := make([]byte, pp.GTLen())
+	raw[pp.GTLen()/2-1] = 2 // 2 + 0·i: norm 4
+	bad, err := pp.UnmarshalGTUnchecked(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := []*big.Int{big.NewInt(5), big.NewInt(3)}
+	if _, err := pp.MultiExp([]*GT{good, bad}, ks); err == nil {
+		t.Fatal("MultiExp accepted a non-unitary base")
+	}
+	got, err := pp.MultiExp([]*GT{good, good.Inv()}, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(good.Exp(big.NewInt(2))) {
+		t.Fatal("MultiExp(g, g⁻¹; 5, 3) ≠ g²")
+	}
+}
