@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fuzz bench bench-audit bench-recovery bench-fleet bench-overload bench-multitenant bench-threshold bench-chaos bench-daemon
+.PHONY: check build test race vet perfbench-test fuzz bench bench-audit bench-recovery bench-fleet bench-overload bench-multitenant bench-threshold bench-chaos bench-daemon
 
 check: vet build race
 
@@ -20,6 +20,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The repo benchmark (perfbench/, see BENCHMARK.json) is its own Go module,
+# so `make check` never compiles it: vet it and run its self-tests against
+# this checkout's sources (~25 s at test256).
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short fuzz pass over the wire codec (the corruption injector's attack
 # surface), the WAL record decoder (what a torn or bit-rotted log feeds

@@ -2,13 +2,10 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"seccloud/internal/dvs"
@@ -181,16 +178,6 @@ type AuditCheckpoint struct {
 func (r *AuditReport) Checkpoint() *AuditCheckpoint {
 	return &AuditCheckpoint{
 		JobID:     r.JobID,
-		Sampled:   append([]uint64(nil), r.Sampled...),
-		Rounds:    append([]RoundRecord(nil), r.Rounds...),
-		Failures:  append([]AuditFailure(nil), r.Failures...),
-		Threshold: r.Threshold,
-	}
-}
-
-// Checkpoint extracts the resumable state of a storage audit.
-func (r *StorageAuditReport) Checkpoint() *AuditCheckpoint {
-	return &AuditCheckpoint{
 		UserID:    r.UserID,
 		Sampled:   append([]uint64(nil), r.Sampled...),
 		Rounds:    append([]RoundRecord(nil), r.Rounds...),
@@ -199,41 +186,17 @@ func (r *StorageAuditReport) Checkpoint() *AuditCheckpoint {
 	}
 }
 
-// plannedRound is one round of an audit run: either a fresh challenge or
-// a verdict carried over from an interrupted run's checkpoint.
-type plannedRound struct {
-	indices []uint64
-	carry   *RoundRecord
-}
-
-// planRounds lays out the rounds for a run: from the checkpoint when
-// resuming (lost rounds re-challenged with their original indices), from
-// splitRounds otherwise.
-func planRounds(sample []uint64, rounds int, resume *AuditCheckpoint) []plannedRound {
-	if resume == nil {
-		chunks := splitRounds(sample, rounds)
-		plan := make([]plannedRound, len(chunks))
-		for i, c := range chunks {
-			plan[i] = plannedRound{indices: c}
-		}
-		return plan
-	}
-	plan := make([]plannedRound, len(resume.Rounds))
-	for i := range resume.Rounds {
-		rr := &resume.Rounds[i]
-		plan[i] = plannedRound{indices: rr.Indices}
-		if !rr.Outcome.Lost() {
-			plan[i].carry = rr
-		}
-	}
-	return plan
-}
-
-// AuditReport is the outcome of one audit run: the paper's Algorithm 1
-// return value enriched with per-check attribution, per-round fault
-// accounting, and traffic stats.
+// AuditReport is the outcome of one audit run — a computation audit (the
+// paper's Algorithm 1 return value) or a stored-data audit (Protocol II,
+// eq. 5/7) — enriched with per-check attribution, per-round fault
+// accounting, and traffic stats. Every audit entry point returns this one
+// shape; StorageAuditReport names the same type.
 type AuditReport struct {
-	JobID      string
+	// JobID is the audited job ("" for storage audits).
+	JobID string
+	// UserID is the audited user for storage audits ("" for job audits,
+	// whose delegation names the user).
+	UserID     string
 	SampleSize int
 	Sampled    []uint64
 	Failures   []AuditFailure
@@ -276,7 +239,7 @@ type AuditReport struct {
 func (r *AuditReport) Valid() bool { return len(r.Failures) == 0 }
 
 // Degraded reports whether network faults shrank the effective sample.
-func (r *AuditReport) Degraded() bool { return r.EffectiveSampleSize < r.SampleSize }
+func (r *AuditReport) Degraded() bool { return r.EffectiveSampleSize < len(r.Sampled) }
 
 // NetworkFaultRounds counts rounds lost to transport faults or timeouts.
 func (r *AuditReport) NetworkFaultRounds() int {
@@ -290,14 +253,9 @@ func (r *AuditReport) NetworkFaultRounds() int {
 }
 
 // ShedRounds counts rounds refused by server admission control.
-func (r *AuditReport) ShedRounds() int { return shedRounds(r.Rounds) }
-
-// HedgedRounds counts rounds won by a hedged duplicate.
-func (r *AuditReport) HedgedRounds() int { return hedgedRounds(r.Rounds) }
-
-func shedRounds(rounds []RoundRecord) int {
+func (r *AuditReport) ShedRounds() int {
 	n := 0
-	for _, rr := range rounds {
+	for _, rr := range r.Rounds {
 		if rr.Outcome == RoundShed {
 			n++
 		}
@@ -305,9 +263,10 @@ func shedRounds(rounds []RoundRecord) int {
 	return n
 }
 
-func hedgedRounds(rounds []RoundRecord) int {
+// HedgedRounds counts rounds won by a hedged duplicate.
+func (r *AuditReport) HedgedRounds() int {
 	n := 0
-	for _, rr := range rounds {
+	for _, rr := range r.Rounds {
 		if rr.Hedged {
 			n++
 		}
@@ -381,80 +340,6 @@ type AuditConfig struct {
 	// verdicts are carried over, and only network-lost rounds are
 	// re-challenged. SampleSize, Rng, and Rounds are ignored when set.
 	Resume *AuditCheckpoint
-}
-
-// splitRounds chunks the sample into ≈equal contiguous rounds.
-func splitRounds(sample []uint64, rounds int) [][]uint64 {
-	if rounds <= 1 || len(sample) <= 1 {
-		return [][]uint64{sample}
-	}
-	if rounds > len(sample) {
-		rounds = len(sample)
-	}
-	out := make([][]uint64, 0, rounds)
-	per := (len(sample) + rounds - 1) / rounds
-	for start := 0; start < len(sample); start += per {
-		end := start + per
-		if end > len(sample) {
-			end = len(sample)
-		}
-		out = append(out, sample[start:end])
-	}
-	return out
-}
-
-// roundTrip performs one (possibly retried, possibly deadlined) challenge
-// round trip and reports how many attempts it took. ctx is the audit-level
-// context: its deadline (cfg.Deadline) and cancellation propagate into
-// every attempt, so an expired audit stops issuing network work instead of
-// finishing rounds whose report is already forfeit. A nil ctx means no
-// audit-level bound.
-func roundTrip(ctx context.Context, client netsim.Client, retry *netsim.Retrier, timeout time.Duration, req wire.Message) (wire.Message, int, error) {
-	attempts := 0
-	op := func(ctx context.Context) (wire.Message, error) {
-		attempts++
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		return client.RoundTripContext(ctx, req)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if retry == nil {
-		resp, err := op(ctx)
-		return resp, attempts, err
-	}
-	var resp wire.Message
-	err := retry.Do(ctx, func(ctx context.Context) error {
-		var err error
-		resp, err = op(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, attempts, err
-	}
-	return resp, attempts, nil
-}
-
-// classifyTransport maps a failed round trip to its outcome. Terminal
-// (non-transport) errors return ok=false: they abort the audit rather
-// than degrade it. Overload sheds are checked first: a typed shed is
-// deliberately neither retryable nor a timeout (so the Retrier stops
-// immediately), which would otherwise drop it into the terminal default.
-func classifyTransport(err error) (RoundOutcome, bool) {
-	switch {
-	case netsim.IsOverloaded(err):
-		return RoundShed, true
-	case netsim.IsTimeout(err), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return RoundTimeout, true
-	case netsim.IsRetryable(err):
-		return RoundNetworkFault, true
-	default:
-		return 0, false
-	}
 }
 
 // Agency is the Designated Agency (DA): the third-party auditor holding
@@ -614,253 +499,29 @@ func SampleIndices(rng *rand.Rand, n, t int) []uint64 {
 // report listing every detected failure; a report with no failures means
 // the server passed all sampled checks.
 //
-// Fault awareness: the sample is split into cfg.Rounds challenge rounds;
-// each round is retried under cfg.Retry and bounded by cfg.RoundTimeout.
-// A round that still fails with a transport-class error is recorded as
-// NetworkFault (or Timeout) and its indices leave the effective sample —
-// they produce NO cheating evidence, because a lost message says nothing
-// about the server. Only cryptographic/protocol check failures on rounds
-// that actually completed become Failures. An audit where every round is
-// lost returns a valid-but-empty report with EffectiveSampleSize 0.
-//
-// Pipelining: with cfg.Workers > 1 the rounds fly concurrently and each
-// completed round's per-index checks fan out across the same pool, so the
-// DA verifies one round's proofs while later rounds are still in flight.
-// All randomness is drawn before the fan-out and every task writes only
-// its own slot; the report is then assembled sequentially in round order,
-// so its contents are bit-identical for every worker count.
+// The delegation is validated first (AcceptDelegation); the audit itself
+// runs on the round engine (see engine.go): the sample is split into
+// cfg.Rounds challenge rounds, each retried under cfg.Retry and bounded by
+// cfg.RoundTimeout. A round that still fails with a transport-class error
+// is recorded as NetworkFault (or Timeout, or Shed) and its indices leave
+// the effective sample — they produce NO cheating evidence. Only
+// cryptographic/protocol check failures on rounds that actually completed
+// become Failures. An audit where every round is lost returns a
+// valid-but-empty report with EffectiveSampleSize 0. With cfg.Workers > 1
+// rounds fly concurrently and each round's per-index checks fan out on the
+// same pool; the report is bit-identical for every worker count.
 func (a *Agency) AuditJob(client netsim.Client, d *JobDelegation, cfg AuditConfig) (*AuditReport, error) {
-	start := a.clock()
-	root := a.obs.startAudit("job", "job", d.JobID, "user", d.UserID)
-	defer root.End()
+	run := a.newRun("job", cfg, "job", d.JobID, "user", d.UserID)
+	defer run.end()
 	if err := a.AcceptDelegation(d); err != nil {
 		return nil, fmt.Errorf("core: delegation rejected: %w", err)
 	}
-	var sample []uint64
-	if cfg.Resume != nil {
-		if cfg.Resume.JobID != d.JobID {
-			return nil, fmt.Errorf("core: resume checkpoint is for job %q, not %q", cfg.Resume.JobID, d.JobID)
-		}
-		sample = append([]uint64(nil), cfg.Resume.Sampled...)
-	} else {
-		rng, err := a.challengeRNG(cfg.Rng)
-		if err != nil {
-			return nil, err
-		}
-		sample = SampleIndices(rng, len(d.Tasks), cfg.SampleSize)
+	run.report.JobID = d.JobID
+	if err := run.run(len(d.Tasks), jobTarget{a, d, cfg.BatchSignatures}, clientDispatch{client}, true); err != nil {
+		return nil, err
 	}
-	plannedSample := len(sample)
-	degraded := false
-	if cfg.Resume == nil && cfg.Overload != nil {
-		if reduced, ok := cfg.Overload.PlanSample(len(sample)); ok {
-			// Graceful degradation: under sustained shed/timeout pressure a
-			// smaller challenge set keeps audits completing inside their
-			// deadlines; the confidence loss is explicit, recomputed below
-			// and stamped into any evidence sealed from this report.
-			sample = sample[:reduced]
-			degraded = true
-			a.obs.degradedAudit("job")
-		}
-	}
-	report := &AuditReport{
-		JobID:              d.JobID,
-		SampleSize:         len(sample),
-		Sampled:            sample,
-		PlannedSampleSize:  plannedSample,
-		DegradedByOverload: degraded,
-		SigChecksBatched:   cfg.BatchSignatures,
-	}
-	if cfg.Resume != nil {
-		// Verdicts already reached before the interruption stand as-is.
-		report.Failures = append(report.Failures, cfg.Resume.Failures...)
-	}
-	if len(sample) == 0 {
-		report.Elapsed = a.clock().Sub(start)
-		a.obs.finishAudit("job", report.Rounds, report.Failures, report.Valid(), report.Elapsed)
-		return report, nil
-	}
-
-	type roundResult struct {
-		rec       RoundRecord
-		ok        bool          // round completed with outcome OK
-		respFail  *AuditFailure // round-level structural failure
-		fails     []AuditFailure
-		sigChecks []sigCheck
-		err       error // terminal (non-transport) error
-	}
-	plan := planRounds(sample, cfg.Rounds, cfg.Resume)
-	results := make([]roundResult, len(plan))
-	p := a.auditPool(cfg.Workers)
-	// actx governs dispatch and network rounds: it dies on the audit
-	// deadline or the first terminal error, so an expired audit stops
-	// issuing work. verifyCtx dies ONLY on terminal errors — rounds the
-	// server already answered are always verified in full, so a deadline
-	// can never silently convert unchecked items into effective sample.
-	ctx := context.Background()
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
-	actx, abort := context.WithCancel(ctx)
-	defer abort()
-	verifyCtx, vabort := context.WithCancel(context.Background())
-	defer vabort()
-	retry := cfg.Retry
-	if retry != nil && cfg.Budget != nil {
-		retry = retry.WithBudget(cfg.Budget)
-	}
-	var deniedBefore uint64
-	if cfg.Budget != nil {
-		deniedBefore = cfg.Budget.Denied()
-	}
-	p.forEach(actx, len(plan), func(ri int) {
-		chunk := plan[ri].indices
-		rr := &results[ri]
-		if cr := plan[ri].carry; cr != nil {
-			// Completed before the interruption: the verdict stands, no
-			// re-challenge (the server never gets a second draw).
-			rr.rec = *cr
-			rr.ok = cr.Completed
-			return
-		}
-		rs := roundSpan(root, ri)
-		defer endRound(rs, &rr.rec)
-		rr.rec = RoundRecord{Indices: append([]uint64(nil), chunk...)}
-		resp, attempts, err := roundTrip(actx, client, retry, cfg.RoundTimeout, &wire.ChallengeRequest{
-			JobID:   d.JobID,
-			Indices: chunk,
-			Warrant: d.Warrant,
-		})
-		rr.rec.Attempts = attempts
-		if err != nil {
-			outcome, transport := classifyTransport(err)
-			if !transport {
-				rr.err = fmt.Errorf("core: challenge round trip: %w", err)
-				abort()
-				vabort()
-				return
-			}
-			rr.rec.Outcome = outcome
-			rr.rec.Detail = err.Error()
-			return
-		}
-		ch, ok := resp.(*wire.ChallengeResponse)
-		badProof := func(detail string) {
-			rr.rec.Outcome = RoundBadProof
-			rr.rec.Detail = detail
-			rr.respFail = &AuditFailure{Check: CheckResponse, Detail: detail}
-		}
-		switch {
-		case !ok:
-			badProof(fmt.Sprintf("unexpected challenge response %T", resp))
-		case ch.Error != "":
-			// A server that decodes our challenge but cannot answer it is
-			// treated as detected cheating (e.g. it lost the data it
-			// claims to store). This is a *protocol-level* refusal, not a
-			// transport fault: the round trip itself completed.
-			badProof("server refused challenge: " + ch.Error)
-		case len(ch.Items) != len(chunk):
-			badProof(fmt.Sprintf("server answered %d of %d challenges", len(ch.Items), len(chunk)))
-		default:
-			rr.rec.Outcome = RoundOK
-			rr.rec.Completed = true
-			rr.ok = true
-			itemFails := make([][]AuditFailure, len(ch.Items))
-			itemSigs := make([][]sigCheck, len(ch.Items))
-			p.forEach(verifyCtx, len(ch.Items), func(i int) {
-				is := rs.Child("check.item", "index", strconv.FormatUint(chunk[i], 10))
-				itemFails[i], itemSigs[i] = a.checkItem(d, chunk[i], ch.Items[i], cfg.BatchSignatures)
-				if len(itemFails[i]) > 0 {
-					is.Annotate("failed", "true")
-				}
-				is.End()
-			})
-			for i := range ch.Items {
-				rr.fails = append(rr.fails, itemFails[i]...)
-				rr.sigChecks = append(rr.sigChecks, itemSigs[i]...)
-			}
-		}
-	})
-
-	// Sequential assembly in round order: identical report for any pool.
-	for ri := range results {
-		if results[ri].err != nil {
-			return nil, results[ri].err
-		}
-	}
-	for ri := range results {
-		rr := &results[ri]
-		if rr.rec.Outcome != 0 {
-			continue
-		}
-		// Never dispatched: the audit deadline (or an abort) fired before
-		// this round's task ran. A checkpointed verdict still stands;
-		// fresh rounds are recorded as deadline-lost, never accusatory.
-		if cr := plan[ri].carry; cr != nil {
-			rr.rec = *cr
-			rr.ok = cr.Completed
-			continue
-		}
-		rr.rec = RoundRecord{
-			Indices: append([]uint64(nil), plan[ri].indices...),
-			Outcome: RoundTimeout,
-			Detail:  "audit deadline expired before dispatch",
-		}
-	}
-	var effective []uint64
-	for ri := range results {
-		rr := &results[ri]
-		if rr.respFail != nil {
-			report.Failures = append(report.Failures, *rr.respFail)
-		}
-		report.Rounds = append(report.Rounds, rr.rec)
-		if rr.ok {
-			effective = append(effective, plan[ri].indices...)
-		}
-	}
-	report.EffectiveSampleSize = len(effective)
-	if cfg.Budget != nil {
-		report.BudgetDenied = int(cfg.Budget.Denied() - deniedBefore)
-	}
-	observeOverload(cfg.Overload, plan, report.Rounds)
-
-	preCheck := len(report.Failures)
-	var sigChecks []sigCheck
-	for ri := range results {
-		report.Failures = append(report.Failures, results[ri].fails...)
-		sigChecks = append(sigChecks, results[ri].sigChecks...)
-	}
-	// Batched signature verification (§VI): one aggregate check; on
-	// failure, fall back to individual verification to attribute blame.
-	// In threshold mode the aggregate pairing is reconstructed from a
-	// share quorum and the trail lands in the report; a quorum that
-	// cannot be reached aborts the audit — it never accuses the server.
-	trail := a.newTrail()
-	sigErrs, _, terr := a.verifySigBatch(verifyCtx, sigChecks, true, p, thresholdAvoid(cfg.Resume), trail)
-	if terr != nil {
-		return nil, terr
-	}
-	report.Threshold = trail
-	for i, err := range sigErrs {
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: sigChecks[i].index, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	// Downgrade tentatively-OK rounds whose indices drew check failures.
-	downgradeRounds(report.Rounds, report.Failures[preCheck:])
-	if cfg.Analysis != nil {
-		conf, err := sampling.DetectionConfidence(*cfg.Analysis, report.EffectiveSampleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: recomputing detection confidence: %w", err)
-		}
-		report.AchievedConfidence = conf
-	}
-	report.Elapsed = a.clock().Sub(start)
-	a.obs.finishAudit("job", report.Rounds, report.Failures, report.Valid(), report.Elapsed)
-	return report, nil
+	run.finish()
+	return run.report, nil
 }
 
 // checkItem runs the three per-sample checks of Algorithm 1 plus
@@ -992,55 +653,9 @@ func taskSpecEqual(a, b wire.TaskSpec) bool {
 }
 
 // StorageAuditReport is the outcome of a stored-data audit (Protocol II
-// verification, eq. 5/7, run by the DA over sampled positions).
-type StorageAuditReport struct {
-	UserID           string
-	Sampled          []uint64
-	Failures         []AuditFailure
-	SigChecksBatched bool
-	// Rounds is the per-round evidence trail.
-	Rounds []RoundRecord
-	// EffectiveSampleSize counts positions whose round completed (k ≤ t).
-	EffectiveSampleSize int
-	// AchievedConfidence is 1 − Pr[cheat success] for the effective
-	// sample when Analysis is set; 0 otherwise.
-	AchievedConfidence float64
-	// PlannedSampleSize is the pre-degradation sample size (= len(Sampled)
-	// unless the overload controller shrank the challenge set).
-	PlannedSampleSize int
-	// DegradedByOverload records a deliberate overload-driven reduction of
-	// the challenge set (see AuditReport.DegradedByOverload).
-	DegradedByOverload bool
-	// BudgetDenied counts retries refused by the shared retry budget.
-	BudgetDenied int
-	// Threshold is the quorum trail when the agency verifies through a
-	// t-of-n share quorum; nil for single-key agencies.
-	Threshold *ThresholdTrail
-}
-
-// Valid reports whether every sampled block verified. Rounds lost to the
-// network are not failures.
-func (r *StorageAuditReport) Valid() bool { return len(r.Failures) == 0 }
-
-// Degraded reports whether network faults shrank the effective sample.
-func (r *StorageAuditReport) Degraded() bool { return r.EffectiveSampleSize < len(r.Sampled) }
-
-// NetworkFaultRounds counts rounds lost to transport faults or timeouts.
-func (r *StorageAuditReport) NetworkFaultRounds() int {
-	n := 0
-	for _, rr := range r.Rounds {
-		if rr.Outcome == RoundNetworkFault || rr.Outcome == RoundTimeout {
-			n++
-		}
-	}
-	return n
-}
-
-// ShedRounds counts rounds refused by server admission control.
-func (r *StorageAuditReport) ShedRounds() int { return shedRounds(r.Rounds) }
-
-// HedgedRounds counts rounds won by a hedged duplicate.
-func (r *StorageAuditReport) HedgedRounds() int { return hedgedRounds(r.Rounds) }
+// verification, eq. 5/7, run by the DA over sampled positions). It is the
+// same type as AuditReport, with UserID set and JobID empty.
+type StorageAuditReport = AuditReport
 
 // StorageAuditConfig shapes a stored-data audit.
 type StorageAuditConfig struct {
@@ -1076,267 +691,29 @@ type StorageAuditConfig struct {
 	Resume *AuditCheckpoint
 }
 
+// audit is the engine's view of the config: AuditConfig less DatasetSize.
+func (c StorageAuditConfig) audit() AuditConfig {
+	return AuditConfig{
+		SampleSize: c.SampleSize, Rng: c.Rng, BatchSignatures: c.BatchSignatures,
+		Rounds: c.Rounds, Retry: c.Retry, RoundTimeout: c.RoundTimeout, Deadline: c.Deadline,
+		Budget: c.Budget, Overload: c.Overload, Analysis: c.Analysis, Workers: c.Workers,
+		Resume: c.Resume,
+	}
+}
+
 // AuditStorage samples t positions out of the dataset and verifies the
 // designated signatures over the returned (position ‖ data) strings. It
-// applies the same fault-aware round machinery as AuditJob: transport
-// failures shrink the effective sample, they never accuse the server.
+// runs on the same round engine as AuditJob: transport failures shrink the
+// effective sample, they never accuse the server.
 func (a *Agency) AuditStorage(
 	client netsim.Client, userID string, warrant wire.Warrant, cfg StorageAuditConfig,
 ) (*StorageAuditReport, error) {
-	start := a.clock()
-	root := a.obs.startAudit("storage", "user", userID)
-	defer root.End()
-	var sample []uint64
-	if cfg.Resume != nil {
-		if cfg.Resume.UserID != userID {
-			return nil, fmt.Errorf("core: resume checkpoint is for user %q, not %q", cfg.Resume.UserID, userID)
-		}
-		sample = append([]uint64(nil), cfg.Resume.Sampled...)
-	} else {
-		rng, err := a.challengeRNG(cfg.Rng)
-		if err != nil {
-			return nil, err
-		}
-		sample = SampleIndices(rng, cfg.DatasetSize, cfg.SampleSize)
+	run := a.newRun("storage", cfg.audit(), "user", userID)
+	defer run.end()
+	run.report.UserID = userID
+	if err := run.run(cfg.DatasetSize, storageTarget{a, userID, warrant}, clientDispatch{client}, cfg.BatchSignatures); err != nil {
+		return nil, err
 	}
-	plannedSample := len(sample)
-	degraded := false
-	if cfg.Resume == nil && cfg.Overload != nil {
-		if reduced, ok := cfg.Overload.PlanSample(len(sample)); ok {
-			sample = sample[:reduced]
-			degraded = true
-			a.obs.degradedAudit("storage")
-		}
-	}
-	report := &StorageAuditReport{
-		UserID:             userID,
-		Sampled:            sample,
-		PlannedSampleSize:  plannedSample,
-		DegradedByOverload: degraded,
-		SigChecksBatched:   cfg.BatchSignatures,
-	}
-	if cfg.Resume != nil {
-		report.Failures = append(report.Failures, cfg.Resume.Failures...)
-	}
-	if len(sample) == 0 {
-		a.obs.finishAudit("storage", report.Rounds, report.Failures, report.Valid(), a.clock().Sub(start))
-		return report, nil
-	}
-
-	type roundResult struct {
-		rec      RoundRecord
-		ok       bool
-		carried  bool // verdict from the checkpoint; blocks were checked then
-		respFail *AuditFailure
-		blocks   [][]byte
-		sigs     []wire.BlockSig
-		err      error
-	}
-	plan := planRounds(sample, cfg.Rounds, cfg.Resume)
-	results := make([]roundResult, len(plan))
-	p := a.auditPool(cfg.Workers)
-	// Same two-context scheme as AuditJob: deadline/terminal aborts stop
-	// network dispatch; completed rounds still verify in full.
-	ctx := context.Background()
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
-	actx, abort := context.WithCancel(ctx)
-	defer abort()
-	verifyCtx, vabort := context.WithCancel(context.Background())
-	defer vabort()
-	retry := cfg.Retry
-	if retry != nil && cfg.Budget != nil {
-		retry = retry.WithBudget(cfg.Budget)
-	}
-	var deniedBefore uint64
-	if cfg.Budget != nil {
-		deniedBefore = cfg.Budget.Denied()
-	}
-	p.forEach(actx, len(plan), func(ri int) {
-		chunk := plan[ri].indices
-		rr := &results[ri]
-		if cr := plan[ri].carry; cr != nil {
-			rr.rec = *cr
-			rr.carried = true
-			return
-		}
-		rs := roundSpan(root, ri)
-		defer endRound(rs, &rr.rec)
-		rr.rec = RoundRecord{Indices: append([]uint64(nil), chunk...)}
-		resp, attempts, err := roundTrip(actx, client, retry, cfg.RoundTimeout, &wire.StorageAuditRequest{
-			UserID:    userID,
-			Positions: chunk,
-			Warrant:   warrant,
-		})
-		rr.rec.Attempts = attempts
-		if err != nil {
-			outcome, transport := classifyTransport(err)
-			if !transport {
-				rr.err = fmt.Errorf("core: storage audit round trip: %w", err)
-				abort()
-				vabort()
-				return
-			}
-			rr.rec.Outcome = outcome
-			rr.rec.Detail = err.Error()
-			return
-		}
-		sa, ok := resp.(*wire.StorageAuditResponse)
-		badProof := func(detail string) {
-			rr.rec.Outcome = RoundBadProof
-			rr.rec.Detail = detail
-			rr.respFail = &AuditFailure{Check: CheckResponse, Detail: detail}
-		}
-		switch {
-		case !ok:
-			badProof(fmt.Sprintf("unexpected storage audit response %T", resp))
-		case sa.Error != "":
-			badProof("server refused storage audit: " + sa.Error)
-		case len(sa.Blocks) != len(chunk) || len(sa.Sigs) != len(chunk):
-			badProof("wrong number of blocks in storage audit answer")
-		default:
-			rr.rec.Outcome = RoundOK
-			rr.rec.Completed = true
-			rr.ok = true
-			rr.blocks = sa.Blocks
-			rr.sigs = sa.Sigs
-		}
-	})
-
-	// Sequential assembly in round order (see AuditJob).
-	for ri := range results {
-		if results[ri].err != nil {
-			return nil, results[ri].err
-		}
-	}
-	for ri := range results {
-		rr := &results[ri]
-		if rr.rec.Outcome != 0 {
-			continue
-		}
-		if cr := plan[ri].carry; cr != nil {
-			rr.rec = *cr
-			rr.carried = true
-			continue
-		}
-		rr.rec = RoundRecord{
-			Indices: append([]uint64(nil), plan[ri].indices...),
-			Outcome: RoundTimeout,
-			Detail:  "audit deadline expired before dispatch",
-		}
-	}
-	var positions []uint64
-	var blocks [][]byte
-	var sigs []wire.BlockSig
-	carriedEffective := 0
-	for ri := range results {
-		rr := &results[ri]
-		if rr.respFail != nil {
-			report.Failures = append(report.Failures, *rr.respFail)
-		}
-		report.Rounds = append(report.Rounds, rr.rec)
-		switch {
-		case rr.carried:
-			// Verified before the interruption; its verdicts came in with
-			// the checkpoint's failure list.
-			if rr.rec.Completed {
-				carriedEffective += len(plan[ri].indices)
-			}
-		case rr.ok:
-			positions = append(positions, plan[ri].indices...)
-			blocks = append(blocks, rr.blocks...)
-			sigs = append(sigs, rr.sigs...)
-		}
-	}
-	report.EffectiveSampleSize = carriedEffective + len(positions)
-	if cfg.Budget != nil {
-		report.BudgetDenied = int(cfg.Budget.Denied() - deniedBefore)
-	}
-	observeOverload(cfg.Overload, plan, report.Rounds)
-	if cfg.Analysis != nil {
-		conf, err := sampling.DetectionConfidence(*cfg.Analysis, report.EffectiveSampleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: recomputing detection confidence: %w", err)
-		}
-		report.AchievedConfidence = conf
-	}
-
-	preCheck := len(report.Failures)
-	checks := make([]sigCheck, 0, len(positions))
-	for i, pos := range positions {
-		des, err := DecodeBlockSig(a.scheme.Params(), &sigs[i], a.verifierID())
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: pos, Check: CheckSignature, Detail: err.Error(),
-			})
-			continue
-		}
-		if des.SignerID != userID {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: pos, Check: CheckSignature,
-				Detail: fmt.Sprintf("block signed by %q, want %q", des.SignerID, userID),
-			})
-			continue
-		}
-		checks = append(checks, sigCheck{index: pos, msg: BlockMessage(pos, blocks[i]), des: des})
-	}
-	trail := a.newTrail()
-	checkErrs, _, terr := a.verifySigBatch(verifyCtx, checks, cfg.BatchSignatures, p, thresholdAvoid(cfg.Resume), trail)
-	if terr != nil {
-		return nil, terr
-	}
-	report.Threshold = trail
-	for i, err := range checkErrs {
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: checks[i].index, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	downgradeRounds(report.Rounds, report.Failures[preCheck:])
-	a.obs.finishAudit("storage", report.Rounds, report.Failures, report.Valid(), a.clock().Sub(start))
-	return report, nil
-}
-
-// observeOverload feeds this run's fresh rounds (not checkpoint carries —
-// their pressure was observed by the original run) into the overload
-// controller: sheds and timeouts count as overload losses, everything else
-// as healthy. Nil controller no-ops.
-func observeOverload(oc *OverloadController, plan []plannedRound, rounds []RoundRecord) {
-	if oc == nil {
-		return
-	}
-	for ri := range rounds {
-		if ri < len(plan) && plan[ri].carry != nil {
-			continue
-		}
-		out := rounds[ri].Outcome
-		oc.Observe(out == RoundShed || out == RoundTimeout)
-	}
-}
-
-// downgradeRounds marks OK rounds whose indices drew per-item failures as
-// BadProof, keeping the evidence trail consistent with the failure list.
-func downgradeRounds(rounds []RoundRecord, failures []AuditFailure) {
-	if len(failures) == 0 {
-		return
-	}
-	failed := make(map[uint64]bool, len(failures))
-	for _, f := range failures {
-		failed[f.Index] = true
-	}
-	for ri := range rounds {
-		if rounds[ri].Outcome != RoundOK {
-			continue
-		}
-		for _, idx := range rounds[ri].Indices {
-			if failed[idx] {
-				rounds[ri].Outcome = RoundBadProof
-				break
-			}
-		}
-	}
+	run.finish()
+	return run.report, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"seccloud/internal/netsim"
-	"seccloud/internal/wire"
 )
 
 // MultiAuditReport is the outcome of auditing several delegations (e.g.
@@ -38,11 +37,14 @@ func (m *MultiAuditReport) Valid() bool {
 // verification (one pairing total). On aggregate failure it falls back to
 // per-item verification to attribute blame to the right job and index.
 //
-// With cfg.Workers > 1 the per-delegation challenges fly concurrently and
-// each response's per-index checks fan out across the same pool. Every
-// delegation's challenge set is drawn from the shared RNG *before* the
-// fan-out, in input order, and reports are assembled sequentially, so the
-// outcome is identical for every worker count.
+// Each delegation runs the round engine's collect phase exactly as AuditJob
+// does — rounds, retries, deadlines, and non-accusatory lost rounds: a dead
+// link costs its own delegation's effective sample, never another's
+// verdict — and one settle phase then verifies every delegation's deferred
+// signatures together. Every challenge set is drawn from the shared RNG
+// before the fan-out, in input order, and reports are assembled
+// sequentially, so the outcome is identical for every worker count.
+// Resuming is per-audit state, so cfg.Resume must be nil.
 //
 // clients[i] must reach the server for delegations[i].
 func (a *Agency) AuditJobs(
@@ -51,108 +53,47 @@ func (a *Agency) AuditJobs(
 	if len(clients) != len(delegations) {
 		return nil, fmt.Errorf("core: %d clients for %d delegations", len(clients), len(delegations))
 	}
+	if cfg.Resume != nil {
+		return nil, fmt.Errorf("core: a multi-audit cannot resume from a checkpoint")
+	}
 	start := a.clock()
 	rng, err := a.challengeRNG(cfg.Rng)
 	if err != nil {
 		return nil, err
 	}
-	samples := make([][]uint64, len(delegations))
+	p := a.auditPool(cfg.Workers)
+	runs := make([]*auditRun, len(delegations))
 	for di, d := range delegations {
 		if err := a.AcceptDelegation(d); err != nil {
 			return nil, fmt.Errorf("core: delegation %d rejected: %w", di, err)
 		}
-		samples[di] = SampleIndices(rng, len(d.Tasks), cfg.SampleSize)
+		run := a.newRun("job", cfg, "job", d.JobID, "user", d.UserID)
+		defer run.end()
+		run.pool = p
+		run.report.JobID = d.JobID
+		run.report.SigChecksBatched = true
+		if err := run.sample(len(d.Tasks), rng); err != nil {
+			return nil, err
+		}
+		runs[di] = run
 	}
-
-	type jobResult struct {
-		report    *AuditReport
-		sigChecks []sigCheck
-		err       error
-	}
-	results := make([]jobResult, len(delegations))
-	p := a.auditPool(cfg.Workers)
-	p.forEach(nil, len(delegations), func(di int) {
-		d := delegations[di]
-		sample := samples[di]
-		report := &AuditReport{
-			JobID:            d.JobID,
-			SampleSize:       len(sample),
-			Sampled:          sample,
-			SigChecksBatched: true,
-		}
-		results[di].report = report
-		if len(sample) == 0 {
-			return
-		}
-		resp, err := clients[di].RoundTrip(&wire.ChallengeRequest{
-			JobID:   d.JobID,
-			Indices: sample,
-			Warrant: d.Warrant,
-		})
-		if err != nil {
-			results[di].err = fmt.Errorf("core: challenge round trip for %s: %w", d.JobID, err)
-			return
-		}
-		ch, ok := resp.(*wire.ChallengeResponse)
-		if !ok {
-			results[di].err = fmt.Errorf("core: unexpected challenge response %T", resp)
-			return
-		}
-		if ch.Error != "" {
-			report.Failures = append(report.Failures, AuditFailure{
-				Check: CheckResponse, Detail: "server refused challenge: " + ch.Error,
-			})
-			return
-		}
-		if len(ch.Items) != len(sample) {
-			report.Failures = append(report.Failures, AuditFailure{
-				Check:  CheckResponse,
-				Detail: fmt.Sprintf("server answered %d of %d challenges", len(ch.Items), len(sample)),
-			})
-			return
-		}
-		// Structural, recomputation and Merkle checks run per item; the
-		// signature checks are harvested for the cross-job batch.
-		itemFails := make([][]AuditFailure, len(ch.Items))
-		itemSigs := make([][]sigCheck, len(ch.Items))
-		p.forEach(nil, len(ch.Items), func(i int) {
-			itemFails[i], itemSigs[i] = a.checkItem(d, sample[i], ch.Items[i], true)
-		})
-		for i := range ch.Items {
-			report.Failures = append(report.Failures, itemFails[i]...)
-			results[di].sigChecks = append(results[di].sigChecks, itemSigs[i]...)
-		}
+	errs := make([]error, len(runs))
+	p.forEach(nil, len(runs), func(di int) {
+		errs[di] = runs[di].collect(jobTarget{a, delegations[di], true}, clientDispatch{clients[di]})
 	})
-
-	out := &MultiAuditReport{Reports: make([]*AuditReport, len(delegations))}
-	for di := range results {
-		if results[di].err != nil {
-			return nil, results[di].err
-		}
-		out.Reports[di] = results[di].report
-	}
-
-	// One aggregate check across every job and user; owners maps each
-	// deferred check back to the report its failure belongs to.
-	var deferred []sigCheck
-	var owners []*AuditReport
-	for di := range results {
-		for _, sc := range results[di].sigChecks {
-			deferred = append(deferred, sc)
-			owners = append(owners, results[di].report)
-		}
-	}
-	out.BatchedSigItems = len(deferred)
-	sigErrs, _, terr := a.verifySigBatch(nil, deferred, true, p, nil, nil)
-	if terr != nil {
-		return nil, terr
-	}
-	for i, err := range sigErrs {
+	for _, err := range errs {
 		if err != nil {
-			owners[i].Failures = append(owners[i].Failures, AuditFailure{
-				Index: deferred[i].index, Check: CheckSignature, Detail: err.Error(),
-			})
+			return nil, err
 		}
+	}
+	if err := a.settle(runs, true, p, nil); err != nil {
+		return nil, err
+	}
+	out := &MultiAuditReport{Reports: make([]*AuditReport, len(runs))}
+	for di, run := range runs {
+		run.finish()
+		out.Reports[di] = run.report
+		out.BatchedSigItems += len(run.checks)
 	}
 	out.Elapsed = a.clock().Sub(start)
 	return out, nil

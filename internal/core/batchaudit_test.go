@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	mrand "math/rand"
 	"testing"
 	"time"
@@ -113,5 +114,50 @@ func TestAuditJobsValidation(t *testing.T) {
 	if _, err := sys.agency.AuditJobs(
 		[]netsim.Client{sys.clients[0]}, nil, AuditConfig{}); err == nil {
 		t.Fatal("mismatched lengths accepted")
+	}
+}
+
+// TestAuditJobsDeadLinkLosesOnlyItsRound: a transport failure on one
+// delegation's link is a lost round in that delegation's report — never
+// an aborted multi-audit, never an accusation — and the other
+// delegations are still verified in the shared aggregate.
+func TestAuditJobsDeadLinkLosesOnlyItsRound(t *testing.T) {
+	sys := newSystem(t, nil)
+	gen := workload.NewGenerator(97)
+	sys.storeDataset(t, gen.GenDataset(sys.user.ID(), 8, 4))
+	var ds []*JobDelegation
+	for i := 0; i < 3; i++ {
+		job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "sum"}, 8)
+		ds = append(ds, sys.runJob(t, fmt.Sprintf("dead-link-%d", i), job))
+	}
+	down := netsim.NewDownableHandler(sys.servers[0])
+	down.SetDown(true)
+	clients := []netsim.Client{sys.clients[0], netsim.NewLoopback(down, netsim.LinkConfig{}), sys.clients[0]}
+	multi, err := sys.agency.AuditJobs(clients, ds, AuditConfig{
+		SampleSize: 4, Rng: mrand.New(mrand.NewSource(4)), Workers: 2,
+	})
+	if err != nil {
+		t.Fatalf("AuditJobs aborted on one dead link: %v", err)
+	}
+	if !multi.Valid() {
+		t.Fatalf("dead link produced failures: %+v", multi.Reports)
+	}
+	for i, r := range multi.Reports {
+		switch {
+		case i == 1:
+			if r.EffectiveSampleSize != 0 || len(r.Failures) != 0 || r.NetworkFaultRounds() != 1 {
+				t.Fatalf("dead-link report: effective=%d failures=%+v netfaults=%d",
+					r.EffectiveSampleSize, r.Failures, r.NetworkFaultRounds())
+			}
+		case r.EffectiveSampleSize != 4 || len(r.Rounds) != 1 || r.Rounds[0].Outcome != RoundOK:
+			t.Fatalf("report %d not verified: effective=%d rounds=%+v", i, r.EffectiveSampleSize, r.Rounds)
+		}
+	}
+	if multi.BatchedSigItems != 8 {
+		t.Fatalf("batched %d signature items, want 8 (two live delegations × 4)", multi.BatchedSigItems)
+	}
+
+	if _, err := sys.agency.AuditJobs(clients, ds, AuditConfig{SampleSize: 4, Resume: &AuditCheckpoint{}}); err == nil {
+		t.Fatal("multi-audit accepted a resume checkpoint")
 	}
 }

@@ -239,30 +239,36 @@ func applyThresholdTrail(e *Evidence, tr *ThresholdTrail) {
 	e.ThresholdCombined = tr.CombinedDigest
 }
 
+// reportEvidence fills the verdict fields every evidence kind takes from
+// its audit report.
+func (a *Agency) reportEvidence(r *AuditReport, userID, serverID string) *Evidence {
+	e := &Evidence{
+		Version:             EvidenceVersion,
+		AuditorID:           a.key.ID,
+		JobID:               r.JobID,
+		UserID:              userID,
+		ServerID:            serverID,
+		Sampled:             append([]uint64(nil), r.Sampled...),
+		Valid:               r.Valid(),
+		FailureSummary:      summarizeFailures(r.Failures),
+		EffectiveSampleSize: r.EffectiveSampleSize,
+		NetworkFaultRounds:  r.NetworkFaultRounds(),
+		PlannedSampleSize:   r.PlannedSampleSize,
+		DegradedByOverload:  r.DegradedByOverload,
+		ShedRounds:          r.ShedRounds(),
+		HedgedRounds:        r.HedgedRounds(),
+		DetectionConfidence: r.AchievedConfidence,
+	}
+	applyThresholdTrail(e, r.Threshold)
+	return e
+}
+
 // IssueEvidence signs an audit report into transferable evidence.
 func (a *Agency) IssueEvidence(d *JobDelegation, report *AuditReport) (*Evidence, error) {
 	if report == nil {
 		return nil, fmt.Errorf("core: nil audit report")
 	}
-	e := &Evidence{
-		Version:             EvidenceVersion,
-		AuditorID:           a.key.ID,
-		JobID:               report.JobID,
-		UserID:              d.UserID,
-		ServerID:            d.ServerID,
-		Sampled:             append([]uint64(nil), report.Sampled...),
-		Valid:               report.Valid(),
-		FailureSummary:      summarizeFailures(report.Failures),
-		EffectiveSampleSize: report.EffectiveSampleSize,
-		NetworkFaultRounds:  report.NetworkFaultRounds(),
-		PlannedSampleSize:   report.PlannedSampleSize,
-		DegradedByOverload:  report.DegradedByOverload,
-		ShedRounds:          report.ShedRounds(),
-		HedgedRounds:        report.HedgedRounds(),
-		DetectionConfidence: report.AchievedConfidence,
-	}
-	applyThresholdTrail(e, report.Threshold)
-	return a.signEvidence(e)
+	return a.signEvidence(a.reportEvidence(report, d.UserID, d.ServerID))
 }
 
 // IssueStorageEvidence signs a storage audit report into transferable
@@ -271,24 +277,7 @@ func (a *Agency) IssueStorageEvidence(serverID string, report *StorageAuditRepor
 	if report == nil {
 		return nil, fmt.Errorf("core: nil storage audit report")
 	}
-	e := &Evidence{
-		Version:             EvidenceVersion,
-		AuditorID:           a.key.ID,
-		UserID:              report.UserID,
-		ServerID:            serverID,
-		Sampled:             append([]uint64(nil), report.Sampled...),
-		Valid:               report.Valid(),
-		FailureSummary:      summarizeFailures(report.Failures),
-		EffectiveSampleSize: report.EffectiveSampleSize,
-		NetworkFaultRounds:  report.NetworkFaultRounds(),
-		PlannedSampleSize:   report.PlannedSampleSize,
-		DegradedByOverload:  report.DegradedByOverload,
-		ShedRounds:          report.ShedRounds(),
-		HedgedRounds:        report.HedgedRounds(),
-		DetectionConfidence: report.AchievedConfidence,
-	}
-	applyThresholdTrail(e, report.Threshold)
-	return a.signEvidence(e)
+	return a.signEvidence(a.reportEvidence(report, report.UserID, serverID))
 }
 
 // IssueFleetEvidence signs a fleet storage audit into transferable
@@ -301,25 +290,9 @@ func (a *Agency) IssueFleetEvidence(f *Fleet, fr *FleetStorageReport) (*Evidence
 	if fr == nil || fr.Report == nil {
 		return nil, fmt.Errorf("core: nil fleet audit report")
 	}
-	e := &Evidence{
-		Version:             EvidenceVersion,
-		AuditorID:           a.key.ID,
-		UserID:              fr.UserID,
-		ServerID:            f.ServerID(fr.Primary),
-		Sampled:             append([]uint64(nil), fr.Report.Sampled...),
-		Valid:               fr.Report.Valid(),
-		FailureSummary:      summarizeFailures(fr.Report.Failures),
-		EffectiveSampleSize: fr.Report.EffectiveSampleSize,
-		NetworkFaultRounds:  fr.Report.NetworkFaultRounds(),
-		FailoverSummary:     summarizeFailovers(fr.Failovers),
-		QuorumSummary:       summarizeQuorums(fr.Quorums),
-		PlannedSampleSize:   fr.Report.PlannedSampleSize,
-		DegradedByOverload:  fr.Report.DegradedByOverload,
-		ShedRounds:          fr.Report.ShedRounds(),
-		HedgedRounds:        fr.Report.HedgedRounds(),
-		DetectionConfidence: fr.Report.AchievedConfidence,
-	}
-	applyThresholdTrail(e, fr.Report.Threshold)
+	e := a.reportEvidence(fr.Report, fr.UserID, f.ServerID(fr.Primary))
+	e.FailoverSummary = summarizeFailovers(fr.Failovers)
+	e.QuorumSummary = summarizeQuorums(fr.Quorums)
 	return a.signEvidence(e)
 }
 

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"seccloud/internal/netsim"
-	"seccloud/internal/sampling"
+	"seccloud/internal/obs"
 	"seccloud/internal/wire"
 )
 
@@ -524,8 +524,8 @@ type RepairResult struct {
 // FleetAuditConfig shapes a fleet storage audit.
 type FleetAuditConfig struct {
 	// Storage is the underlying per-round audit shape (sample size,
-	// rounds, retry, timeout, batching, workers). Resume is not
-	// supported here and must be nil.
+	// rounds, retry, timeout, batching, workers, resume). A resumed fleet
+	// audit keeps each carried round's serving replica.
 	Storage StorageAuditConfig
 	// Primary is the replica the audit challenges first.
 	Primary int
@@ -590,7 +590,9 @@ func (r *FleetStorageReport) FailedOver() bool { return len(r.Failovers) > 0 }
 // checks. Failures are attributed to the replica that SERVED the failing
 // round (RoundRecord.Replica), cross-examined on quorumK witnesses, and
 // — when the quorum localizes the corruption and cfg.Repair is set —
-// healed from a witness whose signatures verified.
+// healed from a witness whose signatures verified. A resumed audit
+// carries its checkpointed rounds (and their replicas) and cross-examines
+// only this run's fresh failures.
 //
 // Rounds run sequentially, deliberately: the breaker state a round
 // observes depends on the rounds before it, and sequential execution
@@ -599,208 +601,31 @@ func (r *FleetStorageReport) FailedOver() bool { return len(r.Failovers) > 0 }
 func (a *Agency) AuditStorageFleet(
 	f *Fleet, userID string, warrant wire.Warrant, cfg FleetAuditConfig,
 ) (*FleetStorageReport, error) {
-	start := a.clock()
-	root := a.obs.startAudit("fleet", "user", userID, "primary", strconv.Itoa(cfg.Primary))
-	defer root.End()
+	run := a.newRun("fleet", cfg.Storage.audit(), "user", userID, "primary", strconv.Itoa(cfg.Primary))
+	defer run.end()
 	if cfg.Primary < 0 || cfg.Primary >= f.NumServers() {
 		return nil, fmt.Errorf("core: fleet audit primary %d out of range [0,%d)", cfg.Primary, f.NumServers())
 	}
-	if cfg.Storage.Resume != nil {
-		return nil, fmt.Errorf("core: fleet audits do not support checkpoint resume")
-	}
-	rng, err := a.challengeRNG(cfg.Storage.Rng)
-	if err != nil {
+	run.report.UserID = userID
+	fd := &fleetDispatch{f: f, cfg: &cfg}
+	if err := run.run(cfg.Storage.DatasetSize, storageTarget{a, userID, warrant}, fd, cfg.Storage.BatchSignatures); err != nil {
 		return nil, err
 	}
-	sample := SampleIndices(rng, cfg.Storage.DatasetSize, cfg.Storage.SampleSize)
-	plannedSample := len(sample)
-	degraded := false
-	if cfg.Storage.Overload != nil {
-		if reduced, ok := cfg.Storage.Overload.PlanSample(len(sample)); ok {
-			sample = sample[:reduced]
-			degraded = true
-			a.obs.degradedAudit("fleet")
-		}
-	}
-	report := &StorageAuditReport{
-		UserID:             userID,
-		Sampled:            sample,
-		PlannedSampleSize:  plannedSample,
-		DegradedByOverload: degraded,
-		SigChecksBatched:   cfg.Storage.BatchSignatures,
-	}
-	fr := &FleetStorageReport{UserID: userID, Primary: cfg.Primary, Report: report}
-	if len(sample) == 0 {
-		fr.Elapsed = a.clock().Sub(start)
-		a.obs.finishAudit("fleet", report.Rounds, report.Failures, report.Valid(), fr.Elapsed)
-		a.obs.finishFleet(fr)
-		return fr, nil
-	}
+	report := run.report
+	fr := &FleetStorageReport{UserID: userID, Primary: cfg.Primary, Report: report, Failovers: fd.failovers}
 
-	type served struct {
-		blocks [][]byte
-		sigs   []wire.BlockSig
-	}
-	chunks := splitRounds(sample, cfg.Storage.Rounds)
-	answers := make([]served, len(chunks))
-	ctx := context.Background()
-	if cfg.Storage.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Storage.Deadline)
-		defer cancel()
-	}
-	retry := cfg.Storage.Retry
-	if retry != nil && cfg.Storage.Budget != nil {
-		retry = retry.WithBudget(cfg.Storage.Budget)
-	}
-	var deniedBefore uint64
-	if cfg.Storage.Budget != nil {
-		deniedBefore = cfg.Storage.Budget.Denied()
-	}
-	for ri, chunk := range chunks {
-		rec := RoundRecord{Indices: append([]uint64(nil), chunk...), Replica: -1}
-		if ctx.Err() != nil {
-			// Audit deadline expired: remaining rounds are deadline-lost,
-			// never accusatory, and never hit the network.
-			rec.Outcome = RoundTimeout
-			rec.Detail = "audit deadline expired before dispatch"
-			report.Rounds = append(report.Rounds, rec)
-			continue
-		}
-		rs := roundSpan(root, ri)
-		tried := make(map[int]bool)
-		server := cfg.Primary
-		lastOutcome, lastDetail := RoundNetworkFault, "no replica available"
-		for server >= 0 {
-			failTo := func(reason string) {
-				tried[server] = true
-				next := f.nextReplica(tried)
-				if next >= 0 {
-					fr.Failovers = append(fr.Failovers, FailoverEvent{Round: ri, From: server, To: next, Reason: reason})
-					rec.FailedOver = true
-					hop := rs.Child("failover", "from", strconv.Itoa(server), "to", strconv.Itoa(next), "reason", reason)
-					hop.End()
-				}
-				server = next
-			}
-			if !f.health.Breaker(server).Allow() {
-				lastDetail = "no replica available: breakers open"
-				failTo("breaker-open")
-				continue
-			}
-			resp, attempts, hedgeTo, err := f.hedgedTrip(ctx, server, tried, retry, &cfg, &wire.StorageAuditRequest{
-				UserID:    userID,
-				Positions: chunk,
-				Warrant:   warrant,
-			})
-			rec.Attempts += attempts
-			if err != nil {
-				outcome, transport := classifyTransport(err)
-				if !transport {
-					return nil, fmt.Errorf("core: fleet audit round trip: %w", err)
-				}
-				lastOutcome, lastDetail = outcome, err.Error()
-				failTo(outcome.String())
-				continue
-			}
-			rec.Replica = server
-			if hedgeTo >= 0 {
-				rec.Replica = hedgeTo
-				rec.Hedged = true
-			}
-			sa, ok := resp.(*wire.StorageAuditResponse)
-			badProof := func(detail string) {
-				rec.Outcome = RoundBadProof
-				rec.Detail = detail
-				report.Failures = append(report.Failures, AuditFailure{Check: CheckResponse, Detail: detail})
-			}
-			switch {
-			case !ok:
-				badProof(fmt.Sprintf("unexpected storage audit response %T", resp))
-			case sa.Error != "":
-				badProof("server refused storage audit: " + sa.Error)
-			case len(sa.Blocks) != len(chunk) || len(sa.Sigs) != len(chunk):
-				badProof("wrong number of blocks in storage audit answer")
-			default:
-				rec.Outcome = RoundOK
-				rec.Completed = true
-				answers[ri] = served{blocks: sa.Blocks, sigs: sa.Sigs}
-			}
-			break
-		}
-		if server < 0 {
-			rec.Outcome = lastOutcome
-			rec.Detail = lastDetail
-		}
-		endRound(rs, &rec)
-		report.Rounds = append(report.Rounds, rec)
-	}
-
-	// Signature verification over the completed rounds, exactly as in
-	// AuditStorage, but with a position → serving-replica map so every
-	// failure can be attributed to the replica that answered it.
-	var positions []uint64
-	var blocks [][]byte
-	var sigs []wire.BlockSig
-	servedBy := make(map[uint64]int, len(sample))
-	for ri := range chunks {
-		rec := &report.Rounds[ri]
+	// Attribute this run's accusations to serving replicas: item failures
+	// by position, round-level structural refusals by round (accusing the
+	// whole round's positions). Carried rounds were attributed by the run
+	// that first audited them.
+	servedBy := make(map[uint64]int, len(report.Sampled))
+	for _, rec := range report.Rounds {
 		if rec.Replica >= 0 {
-			for _, pos := range chunks[ri] {
+			for _, pos := range rec.Indices {
 				servedBy[pos] = rec.Replica
 			}
 		}
-		if rec.Outcome == RoundOK {
-			positions = append(positions, chunks[ri]...)
-			blocks = append(blocks, answers[ri].blocks...)
-			sigs = append(sigs, answers[ri].sigs...)
-		}
 	}
-	report.EffectiveSampleSize = len(positions)
-	if cfg.Storage.Budget != nil {
-		report.BudgetDenied = int(cfg.Storage.Budget.Denied() - deniedBefore)
-	}
-	if oc := cfg.Storage.Overload; oc != nil {
-		for i := range report.Rounds {
-			out := report.Rounds[i].Outcome
-			oc.Observe(out == RoundShed || out == RoundTimeout)
-		}
-	}
-	if cfg.Storage.Analysis != nil {
-		conf, err := sampling.DetectionConfidence(*cfg.Storage.Analysis, report.EffectiveSampleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: recomputing detection confidence: %w", err)
-		}
-		report.AchievedConfidence = conf
-	}
-
-	p := a.auditPool(cfg.Storage.Workers)
-	preCheck := len(report.Failures)
-	checks := make([]sigCheck, 0, len(positions))
-	for i, pos := range positions {
-		if err := a.decodeStoredSig(userID, pos, blocks[i], sigs[i], &checks); err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: pos, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	trail := a.newTrail()
-	checkErrs, _, terr := a.verifySigBatch(context.Background(), checks, cfg.Storage.BatchSignatures, p, nil, trail)
-	if terr != nil {
-		return nil, terr
-	}
-	report.Threshold = trail
-	for i, err := range checkErrs {
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: checks[i].index, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	downgradeRounds(report.Rounds, report.Failures[preCheck:])
-
-	// Attribute accusations to serving replicas. Round-level structural
-	// refusals (respFail) accuse the whole round's positions.
 	accused := make(map[int][]uint64)
 	seen := make(map[int]map[uint64]bool)
 	accuse := func(replica int, pos uint64) {
@@ -815,15 +640,14 @@ func (a *Agency) AuditStorageFleet(
 			accused[replica] = append(accused[replica], pos)
 		}
 	}
-	for _, fail := range report.Failures[preCheck:] {
+	for _, fail := range report.Failures[run.fresh:] {
 		if replica, ok := servedBy[fail.Index]; ok {
 			accuse(replica, fail.Index)
 		}
 	}
-	for ri := range chunks {
-		rec := &report.Rounds[ri]
-		if rec.Outcome == RoundBadProof && !rec.Completed {
-			for _, pos := range chunks[ri] {
+	for ri, rec := range report.Rounds {
+		if rec.Outcome == RoundBadProof && !rec.Completed && run.plan[ri].carry == nil {
+			for _, pos := range rec.Indices {
 				accuse(rec.Replica, pos)
 			}
 		}
@@ -840,14 +664,14 @@ func (a *Agency) AuditStorageFleet(
 		for _, acc := range replicas {
 			pos := accused[acc]
 			sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-			qs := root.Child("quorum", "accused", strconv.Itoa(acc))
-			q, witnesses := a.crossExamine(ctx, f, userID, warrant, cfg, acc, pos)
+			qs := run.root.Child("quorum", "accused", strconv.Itoa(acc))
+			q, witnesses := a.crossExamine(run.ctx, f, userID, warrant, cfg, acc, pos)
 			qs.Annotate("class", q.Class.String())
 			qs.End()
 			fr.Quorums = append(fr.Quorums, q)
 			if cfg.Repair && q.Class == QuorumLocalized {
-				ps := root.Child("repair", "target", strconv.Itoa(acc))
-				rr := a.executeRepair(ctx, f, userID, warrant, cfg, acc, pos, witnesses)
+				ps := run.root.Child("repair", "target", strconv.Itoa(acc))
+				rr := a.executeRepair(run.ctx, f, userID, warrant, cfg, acc, pos, witnesses)
 				ps.Annotate("applied", strconv.FormatBool(rr.Applied))
 				ps.Annotate("confirmed", strconv.FormatBool(rr.Confirmed))
 				ps.End()
@@ -855,10 +679,67 @@ func (a *Agency) AuditStorageFleet(
 			}
 		}
 	}
-	fr.Elapsed = a.clock().Sub(start)
-	a.obs.finishAudit("fleet", report.Rounds, report.Failures, report.Valid(), fr.Elapsed)
+	run.finish()
+	fr.Elapsed = report.Elapsed
 	a.obs.finishFleet(fr)
 	return fr, nil
+}
+
+// fleetDispatch is the engine's fleet dispatcher: rounds run one after
+// another (breaker state is part of the verdict's input), each aimed at
+// the primary and failed over in replica order, optionally hedged.
+type fleetDispatch struct {
+	f         *Fleet
+	cfg       *FleetAuditConfig
+	failovers []FailoverEvent
+}
+
+func (*fleetDispatch) rounds(*pool) *pool { return newPool(1) }
+
+func (*fleetDispatch) unserved() int { return -1 }
+
+func (fd *fleetDispatch) trip(ctx context.Context, r *auditRun, ri int, rs *obs.Span, rec *RoundRecord, req wire.Message) (wire.Message, error) {
+	f := fd.f
+	tried := make(map[int]bool)
+	server := fd.cfg.Primary
+	lastOutcome, lastDetail := RoundNetworkFault, "no replica available"
+	for server >= 0 {
+		failTo := func(reason string) {
+			tried[server] = true
+			next := f.nextReplica(tried)
+			if next >= 0 {
+				fd.failovers = append(fd.failovers, FailoverEvent{Round: ri, From: server, To: next, Reason: reason})
+				rec.FailedOver = true
+				hop := rs.Child("failover", "from", strconv.Itoa(server), "to", strconv.Itoa(next), "reason", reason)
+				hop.End()
+			}
+			server = next
+		}
+		if !f.health.Breaker(server).Allow() {
+			lastDetail = "no replica available: breakers open"
+			failTo("breaker-open")
+			continue
+		}
+		resp, attempts, hedgeTo, err := f.hedgedTrip(ctx, server, tried, r.retry, fd.cfg, req)
+		rec.Attempts += attempts
+		if err != nil {
+			outcome, transport := classifyTransport(err)
+			if !transport {
+				return nil, err
+			}
+			lastOutcome, lastDetail = outcome, err.Error()
+			failTo(outcome.String())
+			continue
+		}
+		rec.Replica = server
+		if hedgeTo >= 0 {
+			rec.Replica = hedgeTo
+			rec.Hedged = true
+		}
+		return resp, nil
+	}
+	rec.Outcome, rec.Detail = lastOutcome, lastDetail
+	return nil, nil
 }
 
 // decodeStoredSig decodes and owner-checks one stored block's designated

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	mrand "math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -432,5 +434,101 @@ func TestRunJobFailover(t *testing.T) {
 	}
 	if _, err := MergeResults(job.Len(), subs); err != nil {
 		t.Fatalf("MergeResults: %v", err)
+	}
+}
+
+// TestFleetAuditResumesFromCheckpoint: every replica is down for one
+// round, the interrupted fleet audit is sealed into a signed checkpoint,
+// and the resumed audit — after the replicas revive — re-challenges only
+// that round, with byte-identical indices, carrying every other verdict
+// and its serving replica. The primary's rotten block in a carried round
+// stays accused but is not cross-examined again: only fresh failures are.
+func TestFleetAuditResumesFromCheckpoint(t *testing.T) {
+	fs := newFleetSystem(t, 3, 12)
+	cfg := fs.auditCfg(6, 3, 21)
+	rounds := splitRounds(SampleIndices(mrand.New(mrand.NewSource(21)), 12, 6), 3)
+	lost := rounds[1]
+	if _, ok := fs.servers[0].TamperBlock(fs.user.ID(), rounds[0][0], []byte("rotten")); !ok {
+		t.Fatal("TamperBlock found nothing")
+	}
+
+	var mu sync.Mutex
+	dead := true
+	var seen [][]uint64 // round-leading indices the replicas were challenged with after reviving
+	clients := make([]netsim.Client, 3)
+	ids := make([]string, 3)
+	for i := range clients {
+		clients[i] = newScripted(netsim.NewLoopback(fs.downs[i], netsim.LinkConfig{}), func(first uint64, _ int) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if !dead {
+				seen = append(seen, []uint64{first})
+			}
+			return dead && first == lost[0]
+		})
+		ids[i] = fs.servers[i].ID()
+	}
+	fleet, err := NewFleet(clients, ids, BreakerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := fs.agency.AuditStorageFleet(fleet, fs.user.ID(), fs.warrant, cfg)
+	if err != nil {
+		t.Fatalf("interrupted fleet audit: %v", err)
+	}
+	rep1 := first.Report
+	if len(rep1.Failures) != 1 || rep1.Failures[0].Index != rounds[0][0] || rep1.EffectiveSampleSize != 4 || rep1.NetworkFaultRounds() != 1 {
+		t.Fatalf("interrupted report: failures=%+v effective=%d netfaults=%d", rep1.Failures, rep1.EffectiveSampleSize, rep1.NetworkFaultRounds())
+	}
+	if len(first.Quorums) != 1 || first.Quorums[0].Class != QuorumLocalized {
+		t.Fatalf("interrupted audit quorums = %+v, want one localized cross-examination", first.Quorums)
+	}
+	if rec := rep1.Rounds[1]; rec.Outcome != RoundNetworkFault || rec.Replica != -1 || !reflect.DeepEqual(rec.Indices, lost) {
+		t.Fatalf("round 1 = %+v, want the all-down round %v lost with no replica", rec, lost)
+	}
+
+	ce, err := fs.agency.SignCheckpoint(rep1.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyCheckpoint(fs.user.scheme, ce); err != nil {
+		t.Fatalf("VerifyCheckpoint: %v", err)
+	}
+
+	mu.Lock()
+	dead = false
+	mu.Unlock()
+	resumeCfg := FleetAuditConfig{Storage: StorageAuditConfig{Resume: &ce.Checkpoint, BatchSignatures: true}}
+	second, err := fs.agency.AuditStorageFleet(fleet, fs.user.ID(), fs.warrant, resumeCfg)
+	if err != nil {
+		t.Fatalf("resumed fleet audit: %v", err)
+	}
+	rep2 := second.Report
+	if !reflect.DeepEqual(rep2.Sampled, rep1.Sampled) {
+		t.Fatalf("resumed sample %v, want %v", rep2.Sampled, rep1.Sampled)
+	}
+	if !reflect.DeepEqual(seen, [][]uint64{{lost[0]}}) {
+		t.Fatalf("revived replicas were challenged with rounds led by %v, want only %v", seen, lost[0])
+	}
+	for ri, rec := range rep2.Rounds {
+		if ri == 1 {
+			if rec.Outcome != RoundOK || rec.Replica != 0 || !reflect.DeepEqual(rec.Indices, lost) {
+				t.Fatalf("re-challenged round = %+v, want ok on the primary with indices %v", rec, lost)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(rec, rep1.Rounds[ri]) {
+			t.Fatalf("carried round %d rewritten: %+v vs %+v", ri, rec, rep1.Rounds[ri])
+		}
+	}
+	if !reflect.DeepEqual(rep2.Failures, rep1.Failures) || rep2.EffectiveSampleSize != 6 || rep2.Degraded() || len(second.Quorums) != 0 {
+		t.Fatalf("resumed report: failures=%+v effective=%d quorums=%d", rep2.Failures, rep2.EffectiveSampleSize, len(second.Quorums))
+	}
+	ev, err := fs.agency.IssueFleetEvidence(fleet, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyEvidence(fs.agency.scheme, ev); err != nil {
+		t.Fatalf("VerifyEvidence: %v", err)
 	}
 }

@@ -358,7 +358,7 @@ func (s *AuditScheduler) flush(
 		return nil
 	}
 	out.Flushes++
-	errs, fellBack, terr := s.agency.verifySigBatch(nil, chunk, true, p, nil, nil)
+	errs, fellBack, terr := s.agency.verifySigBatch(chunk, true, p, nil, nil)
 	if terr != nil {
 		// Terminal (threshold quorum unavailable): the drain aborts
 		// without verdicts rather than attributing blame it cannot prove.

@@ -1,16 +1,12 @@
 package core
 
-import (
-	"context"
-
-	"seccloud/internal/dvs"
-)
+import "seccloud/internal/dvs"
 
 // sigCheck is one pending block-signature verification: the designated
 // signature des must verify over msg, and a failure is attributed to the
-// sampled index. All three audit paths (AuditJob, AuditStorage, AuditJobs)
-// assemble their signature work into this one shape so the batch-versus-
-// individual decision lives in exactly one place.
+// sampled index. The round engine (every audit entry point) and the
+// multi-tenant scheduler assemble their signature work into this one shape
+// so the batch-versus-individual decision lives in exactly one place.
 type sigCheck struct {
 	index uint64
 	msg   []byte
@@ -25,10 +21,8 @@ type sigCheck struct {
 // back to individual verification to attribute blame (the error-locating
 // idea of the paper's reference [10]). The individual pass fans out across
 // the pool; results land in their own slots, so output order is
-// independent of scheduling.
-// ctx aborts the individual fan-out on terminal audit errors; audit
-// deadlines deliberately do NOT reach here (see AuditJob's verifyCtx) —
-// answered rounds always verify in full.
+// independent of scheduling. Nothing cancels it: audit deadlines
+// deliberately do NOT reach here — answered rounds always verify in full.
 //
 // The second return reports whether the per-item fallback ran — callers
 // attributing blame across tenants (and the scheduler's fallback counter)
@@ -41,14 +35,13 @@ type sigCheck struct {
 // quorum unavailable aborts the audit without a verdict, it never
 // attributes per-item blame. Non-threshold verification never errors.
 func (a *Agency) verifySigBatch(
-	ctx context.Context, checks []sigCheck, batched bool, p *pool,
-	avoid []int, trail *ThresholdTrail,
+	checks []sigCheck, batched bool, p *pool, avoid []int, trail *ThresholdTrail,
 ) ([]error, bool, error) {
 	if a.thr != nil {
 		if trail == nil {
 			trail = &ThresholdTrail{}
 		}
-		return a.verifySigBatchThreshold(ctx, checks, batched, p.size(), avoid, trail)
+		return a.verifySigBatchThreshold(nil, checks, batched, p.size(), avoid, trail)
 	}
 	errs := make([]error, len(checks))
 	if len(checks) == 0 {
@@ -63,7 +56,7 @@ func (a *Agency) verifySigBatch(
 			return errs, false, nil
 		}
 	}
-	p.forEach(ctx, len(checks), func(i int) {
+	p.forEach(nil, len(checks), func(i int) {
 		errs[i] = a.scheme.Verify(checks[i].des, checks[i].msg, a.key)
 	})
 	return errs, batched, nil

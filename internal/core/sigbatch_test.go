@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/rand"
 	"math/big"
 	"testing"
@@ -49,7 +48,7 @@ func TestVerifySigBatchBlamesPlantedItem(t *testing.T) {
 			cs := append([]sigCheck(nil), checks...)
 			cs[pos].des = plant(*checks[pos].des)
 			for workers := 1; workers <= 4; workers++ {
-				errs, fellBack, terr := sys.agency.verifySigBatch(context.Background(), cs, true, newPool(workers), nil, nil)
+				errs, fellBack, terr := sys.agency.verifySigBatch(cs, true, newPool(workers), nil, nil)
 				if terr != nil || !fellBack {
 					t.Fatalf("%s at %d, workers=%d: terminal %v, fell back %v", name, pos, workers, terr, fellBack)
 				}

@@ -76,9 +76,11 @@ type (
 	Auditor = core.Agency
 	// AuditConfig shapes an audit run (sample size, batching).
 	AuditConfig = core.AuditConfig
-	// AuditReport is the outcome of a computation audit.
+	// AuditReport is the outcome of any audit — computation, storage or
+	// fleet: the round trail, the failures, and the effective sample.
 	AuditReport = core.AuditReport
-	// StorageAuditReport is the outcome of a stored-data audit.
+	// StorageAuditReport is the outcome of a stored-data audit: the same
+	// type as AuditReport, with UserID set instead of JobID.
 	StorageAuditReport = core.StorageAuditReport
 	// AuditFailure is one detected cheating instance.
 	AuditFailure = core.AuditFailure
@@ -142,7 +144,8 @@ type (
 	EpochResult = epoch.Result
 	// ErasureCoder is the Reed–Solomon coder behind WithParity.
 	ErasureCoder = erasure.Coder
-	// MultiAuditReport is the outcome of a cross-sub-job batch audit.
+	// MultiAuditReport is the outcome of a cross-sub-job batch audit: one
+	// AuditReport per delegation, signatures verified in one aggregate.
 	MultiAuditReport = core.MultiAuditReport
 	// Evidence is a signed, transferable audit verdict.
 	Evidence = core.Evidence
